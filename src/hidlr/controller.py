@@ -24,10 +24,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NonFiniteLoss, SingularFit, ValidationError
+from .errors import LengthMismatch, NonFiniteLoss, SingularFit, ValidationError
 from .linalg import r2_score, solve_least_squares
 from .optim import OptimizerState, apply_update, direction
-from .problems.base import GroupLayout, LossProblem
+from .problems.base import GroupLayout, LossProblem, probe_calls
 
 PROBE_MULTIPLIERS = np.array([-2.0, -1.0, 1.0, 2.0])
 GATING_MODES = ("global", "per-group")
@@ -98,9 +98,12 @@ def initial_lr_state(cfg: HiDlrConfig, k: int) -> LrState:
 
 @dataclass
 class ProbeMatrix:
-    """4K one-group-at-a-time rate perturbations, group-major, v-ordered."""
+    """4K one-group-at-a-time rate perturbations, group-major, v-ordered.
 
-    matrix: np.ndarray  # (4K, K); row j is a per-group rate vector
+    Probe j = 4k + i moves group k alone by PROBE_MULTIPLIERS[i] times its
+    rate; the (K, 4) table of those step scales is all a probe set needs.
+    """
+
     eta_base: np.ndarray  # (K,) rates the probes were scaled by (after floor)
     floored: np.ndarray  # (K,) bool: group rate was raised to the probe floor
 
@@ -111,9 +114,13 @@ class ProbeMatrix:
     def group_of_row(self, j: int) -> int:
         return j // len(PROBE_MULTIPLIERS)
 
+    def xi_table(self) -> np.ndarray:
+        """(K, 4) signed step scales: row k is PROBE_MULTIPLIERS * eta_base[k]."""
+        return PROBE_MULTIPLIERS[None, :] * self.eta_base[:, None]
+
     def xi(self) -> np.ndarray:
-        """Signed step scale of each row: xi_j = v_j * eta_base[group(j)]."""
-        return (PROBE_MULTIPLIERS[None, :] * self.eta_base[:, None]).ravel()
+        """Signed step scale of each probe, flat and group-major."""
+        return self.xi_table().ravel()
 
 
 @dataclass
@@ -141,20 +148,17 @@ class RefreshRecord:
     accepted: bool
     reason: str
     floored: np.ndarray
+    probe_calls: int  # loss evaluations the probe set made: 4K, or fewer on failure
 
 
 def build_probe_matrix(
     eta_prev: np.ndarray, probe_floor: float = 1e-12
 ) -> ProbeMatrix:
-    """Rows e_k (x) v scaled by the previous rates, floored at probe_floor."""
+    """Probes e_k (x) v scaled by the previous rates, floored at probe_floor."""
     eta_prev = np.asarray(eta_prev, dtype=np.float64)
-    k = eta_prev.shape[0]
     floored = eta_prev < probe_floor
     eta_base = np.where(floored, probe_floor, eta_prev)
-    matrix = np.zeros((4 * k, k))
-    for g in range(k):
-        matrix[4 * g : 4 * g + 4, g] = PROBE_MULTIPLIERS * eta_base[g]
-    return ProbeMatrix(matrix=matrix, eta_base=eta_base, floored=floored)
+    return ProbeMatrix(eta_base=eta_base, floored=floored)
 
 
 def evaluate_probes(
@@ -166,21 +170,27 @@ def evaluate_probes(
     batch: Optional[np.ndarray],
     l0: float,
 ) -> np.ndarray:
-    """Loss change at each probed displacement; 4K loss calls, w untouched.
+    """Loss change at each probed displacement; 4K loss evaluations, w untouched.
 
-    ``l0`` is the already-computed loss at ``w`` on the same batch.
+    ``l0`` is the already-computed loss at ``w`` on the same batch. The
+    losses come from one ``problem.probe_losses`` call.
     """
-    deltas = np.empty(probe.matrix.shape[0])
-    for j, row in enumerate(probe.matrix):
-        lj = problem.loss(apply_update(w, layout, row, dir_vec), batch)
-        if not math.isfinite(lj):
-            exc = NonFiniteLoss(
-                f"probe row {j} (group {probe.group_of_row(j)}) gave loss {lj}"
-            )
-            exc.calls_made = j + 1  # for exact budget accounting upstream
-            raise exc
-        deltas[j] = lj - l0
-    return deltas
+    w = np.asarray(w, dtype=np.float64)
+    dir_vec = np.asarray(dir_vec, dtype=np.float64)
+    if w.shape != (layout.dim,) or dir_vec.shape != (layout.dim,):
+        raise LengthMismatch(
+            f"params {w.shape} / direction {dir_vec.shape} vs layout dim {layout.dim}"
+        )
+    losses = problem.probe_losses(w, dir_vec, layout, probe.xi_table(), batch).ravel()
+    calls = probe_calls(losses)
+    if not math.isfinite(losses[calls - 1]):
+        j = calls - 1
+        exc = NonFiniteLoss(
+            f"probe row {j} (group {probe.group_of_row(j)}) gave loss {losses[j]}"
+        )
+        exc.calls_made = calls  # for exact budget accounting upstream
+        raise exc
+    return losses - l0
 
 
 def fit_diag_quadratic(probe: ProbeMatrix, delta_l: np.ndarray) -> QuadraticFit:
@@ -338,14 +348,14 @@ def hidlr_step(
         try:
             deltas = evaluate_probes(problem, w, d, layout, probe, pb, lp)
         except NonFiniteLoss as exc:
-            loss_calls += getattr(exc, "calls_made", probe.matrix.shape[0])
+            probe_calls_made = getattr(exc, "calls_made", 4 * probe.k)
             fit = None
             eta_star = np.full(probe.k, np.nan)
             lr_state = LrState(
                 eta=lr_state.eta, accepted=False, reason=f"non-finite probe: {exc}"
             )
         else:
-            loss_calls += probe.matrix.shape[0]
+            probe_calls_made = 4 * probe.k
             fit = fit_diag_quadratic(probe, deltas)
             eta_star = optimal_lr(fit, opt_state.persistence)
             lr_state = gate_and_update(lr_state, fit, eta_star, cfg)
@@ -358,23 +368,33 @@ def hidlr_step(
             accepted=bool(lr_state.accepted),
             reason=lr_state.reason,
             floored=probe.floored,
+            probe_calls=probe_calls_made,
         )
+        loss_calls += probe_calls_made
     w_next = apply_update(w, layout, lr_state.eta, d)
     return StepResult(
         w=w_next, lr_state=lr_state, l0=l0, refresh=refresh, loss_calls=loss_calls
     )
 
 
-def forward_pass_budget(total_steps: int, k: int, phi: int) -> int:
+def forward_pass_budget(
+    total_steps: int, k: int, phi: int, fresh_probe_batch: int = 0
+) -> int:
     """Training-loss evaluations for T steps with refreshes at t % phi == 0.
 
     Each step costs one loss call; each refresh (steps 0, phi, 2*phi, ...)
-    adds 4K probe calls, giving T + 4K * ceil(T / phi). Gradient passes and
-    test-set evaluations are not included.
+    adds 4K probe calls, plus f = ``fresh_probe_batch`` = 1 call to anchor
+    the probes on a freshly drawn batch, giving T + (4K + f) * ceil(T / phi).
+    A probe counts as one call however ``probe_losses`` computes it.
+    Gradient passes and test-set evaluations are not included.
     """
     if total_steps < 1 or k < 1 or phi < 1:
         raise ValidationError(
             f"need T, K, phi >= 1, got ({total_steps}, {k}, {phi})"
         )
+    if fresh_probe_batch not in (0, 1):
+        raise ValidationError(
+            f"fresh_probe_batch must be 0 or 1, got {fresh_probe_batch}"
+        )
     refreshes = -(-total_steps // phi)
-    return total_steps + 4 * k * refreshes
+    return total_steps + (4 * k + fresh_probe_batch) * refreshes

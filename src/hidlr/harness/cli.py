@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` (train per a config file), ``grid`` (force the grid
 baseline), ``diag`` (truth-vs-prediction table at initialization),
-``list-problems``, and ``budget`` (loss-call count for T/K/phi). Exit
-codes: 0 success, 1 configuration error, 2 runtime error.
+``list-problems``, and ``budget`` (loss-call count for T/K/phi, plus one
+call per refresh with ``--fresh-probe-batch``). Exit codes: 0 success,
+1 configuration error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("steps", type=int, help="number of training steps T")
     b.add_argument("groups", type=int, help="number of parameter groups K")
     b.add_argument("phi", type=int, help="refresh period")
+    b.add_argument(
+        "--fresh-probe-batch",
+        action="store_true",
+        help="each refresh probes on a freshly drawn batch (one more loss call)",
+    )
     return parser
 
 
@@ -121,7 +127,11 @@ def main(argv=None) -> int:
         return 0
     if args.command == "budget":
         try:
-            print(forward_pass_budget(args.steps, args.groups, args.phi))
+            print(
+                forward_pass_budget(
+                    args.steps, args.groups, args.phi, int(args.fresh_probe_batch)
+                )
+            )
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return CONFIG_ERROR

@@ -22,7 +22,7 @@ from ..controller import (
     hidlr_step,
     initial_lr_state,
 )
-from ..errors import HidlrError, ValidationError
+from ..errors import HidlrError, NonFiniteLoss, ValidationError
 from ..linalg import spawn_rngs
 from ..optim import (
     OptimizerState,
@@ -33,7 +33,7 @@ from ..optim import (
     scheduler_lr,
 )
 from ..problems import build_problem, group_params
-from ..problems.base import GroupLayout, LossProblem
+from ..problems.base import GroupLayout, LossProblem, probe_calls
 from .config import ExperimentConfig
 
 
@@ -60,6 +60,12 @@ class CountingProblem:
         else:
             self.train_loss_calls += 1
         return self.inner.loss(w, batch)
+
+    def probe_losses(self, w, d, layout, xi, batch=None):
+        """Count what the group-major probe loop would: 4K, or fewer on failure."""
+        losses = self.inner.probe_losses(w, d, layout, xi, batch)
+        self.train_loss_calls += probe_calls(losses)
+        return losses
 
     def grad(self, w, batch=None):
         self.grad_calls += 1
@@ -186,8 +192,8 @@ def _eval_row(problem, w, t, schedule, epoch_losses, eta, record):
     row = {
         "iteration": t + 1,
         "epoch": (t + 1 + schedule.steps_per_epoch - 1) // schedule.steps_per_epoch,
-        "train_loss": float(np.mean(epoch_losses)),
-        "train_loss_last": float(epoch_losses[-1]),
+        "train_loss": _clean(np.mean(epoch_losses)),
+        "train_loss_last": _clean(epoch_losses[-1]),
         "eta": _clean(np.asarray(eta)),
         "loss_calls": problem.train_loss_calls,
         "eval_loss_calls": problem.eval_loss_calls,
@@ -203,7 +209,7 @@ def _run_hidlr(problem, w, layout, cfg: ExperimentConfig, schedule, record):
     lr_state = initial_lr_state(hcfg, layout.k)
     opt = OptimizerState.create(cfg.optimizer, problem.dim, **cfg.optimizer_params)
     epoch_losses = []
-    any_probe_failure = False
+    missed = 0  # probe calls that failed refreshes did not make
     for t in range(schedule.total_steps):
         batch = schedule.batch(t)
         probe_batch = None
@@ -216,27 +222,28 @@ def _run_hidlr(problem, w, layout, cfg: ExperimentConfig, schedule, record):
         epoch_losses.append(res.l0)
         if res.refresh is not None:
             record.probes.extend(refresh_rows(res.refresh, layout))
-            if res.refresh.reason.startswith("non-finite probe"):
-                any_probe_failure = True
+            missed += 4 * layout.k - res.refresh.probe_calls
         if schedule.is_eval_point(t):
             _eval_row(problem, w, t, schedule, epoch_losses, lr_state.eta, record)
             epoch_losses = []
 
-    expected = forward_pass_budget(schedule.total_steps, layout.k, hcfg.phi)
-    audited = not hcfg.fresh_probe_batch and not any_probe_failure
+    fresh = int(hcfg.fresh_probe_batch and schedule.n > 0)
+    expected = (
+        forward_pass_budget(schedule.total_steps, layout.k, hcfg.phi, fresh) - missed
+    )
     actual = problem.train_loss_calls
     record.summary["loss_calls"] = {
         "train": actual,
         "eval": problem.eval_loss_calls,
         "grad": problem.grad_calls,
-        "expected_train": expected if audited else None,
-        "budget_exact": (actual == expected) if audited else None,
+        "expected_train": expected,
+        "budget_exact": actual == expected,
     }
-    if audited and actual != expected:
+    if actual != expected:
         raise HidlrError(
             f"budget audit failed: {actual} training loss calls, "
             f"expected {expected} (T={schedule.total_steps}, K={layout.k}, "
-            f"phi={hcfg.phi})"
+            f"phi={hcfg.phi}, f={fresh}, {missed} probe calls not made)"
         )
     return w, _clean(lr_state.eta)
 
@@ -250,6 +257,8 @@ def _run_scheduled(problem, w, layout, cfg: ExperimentConfig, schedule, record,
         batch = schedule.batch(t)
         lr = scheduler_lr(kind, t, schedule.total_steps, base_lr)
         l0 = problem.loss(w, batch)
+        if not math.isfinite(l0):
+            raise NonFiniteLoss(f"training loss at step {t} is {l0}")
         g = problem.grad(w, batch)
         d = direction(opt, g, w)
         eta = np.full(layout.k, lr)

@@ -9,6 +9,7 @@ no dataset at all).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -148,6 +149,34 @@ class LossProblem:
         """Loss (and accuracy, where classification) on the test split."""
         return None
 
+    def probe_losses(
+        self,
+        w: np.ndarray,
+        d: np.ndarray,
+        layout: GroupLayout,
+        xi: np.ndarray,
+        batch: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """(K, 4) training losses at w - xi[k, i] * d on group k alone.
+
+        Each entry counts as one training-loss evaluation, however it is
+        computed. This default evaluates them one by one in group-major
+        order on one reused copy of ``w``, and stops at the first
+        non-finite loss, leaving the entries after it NaN. An override must
+        give the same values for every entry up to that one, and must fall
+        back on this default for any layout it was not written for.
+        """
+        out = np.full(xi.shape, np.nan)
+        moved = np.array(w, dtype=np.float64)
+        for k, part in enumerate(layout.slices()):
+            for i, scale in enumerate(xi[k]):
+                moved[part] = w[part] - scale * d[part]
+                out[k, i] = loss = self.loss(moved, batch)
+                if not math.isfinite(loss):
+                    return out
+            moved[part] = w[part]
+        return out
+
     def check_w(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.dim,):
@@ -164,6 +193,15 @@ class LossProblem:
         if batch.size == 0:
             raise LengthMismatch("batch must be nonempty")
         return self.train.take(batch)
+
+
+def probe_calls(losses: np.ndarray) -> int:
+    """Loss evaluations the group-major probe loop makes to give ``losses``.
+
+    The loop stops at the first non-finite loss, so that one is the last.
+    """
+    bad = np.flatnonzero(~np.isfinite(losses))
+    return int(bad[0]) + 1 if bad.size else losses.size
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -92,6 +92,27 @@ class MultitaskHeadProblem(LossProblem):
         dlogits = (sigmoid(logits) - y) / logits.size
         return (dlogits.T @ z).ravel()
 
+    def probe_losses(self, w, d, layout, xi, batch=None) -> np.ndarray:
+        """Probe losses from two head products, using the head's linearity.
+
+        Moving head k by -xi * d_k moves only logit column k, by -xi * z d_k.
+        So each probe's loss is the base loss with column k's BCE sum
+        replaced, one (B, K) BCE per multiplier. The sums run in another
+        order than a full forward, so losses agree to rounding, not bits.
+        """
+        if layout != self.default_layout:
+            return super().probe_losses(w, d, layout, xi, batch)
+        z, y = self._resolve_z(batch)
+        logits = z @ self._head(self.check_w(w)).T  # (B, K)
+        slopes = z @ self._head(self.check_w(d)).T
+        base = bce_with_logits(logits, y).sum(axis=0)  # (K,)
+        total = base.sum()
+        out = np.empty(xi.shape)
+        for i in range(xi.shape[1]):
+            moved = bce_with_logits(logits - xi[:, i] * slopes, y).sum(axis=0)
+            out[:, i] = (total - base + moved) / logits.size
+        return out
+
     def per_task_losses(self, w, split: str = "test") -> np.ndarray:
         z, y = (
             (self._z_test, self.test.targets)

@@ -102,23 +102,25 @@ class NamProblem(LossProblem):
             ) * np.sqrt(2.0 / fan_in)
         return w
 
-    def _unpack(self, w: np.ndarray):
-        s = w[1:].reshape(self.n_features, self.per_subnet)
+    def _layers(self, s: np.ndarray):
+        """(weight (N, in, out), bias (N, out)) per layer of N stacked subnets."""
         layers = []
         for off, fan_in, fan_out in self._layer_spec:
             n_w = fan_in * fan_out
-            weight = s[:, off : off + n_w].reshape(self.n_features, fan_in, fan_out)
+            weight = s[:, off : off + n_w].reshape(s.shape[0], fan_in, fan_out)
             bias = s[:, off + n_w : off + n_w + fan_out]
             layers.append((weight, bias))
-        return w[0], layers
+        return layers
 
-    def _forward(self, w: np.ndarray, x: np.ndarray):
-        # K-major activations (K, B, width) so each layer is one batched matmul;
-        # the fan-in-1 first layer is cheaper as a broadcast than a rank-1 gemm.
+    def _unpack(self, w: np.ndarray):
+        return w[0], self._layers(w[1:].reshape(self.n_features, self.per_subnet))
+
+    def _subnets(self, a: np.ndarray, layers) -> list:
+        # Item-major activations (N, B, width) so each layer is one batched
+        # matmul; ``a`` is (N, B, 1), or (1, B, 1) to feed one input to all N.
+        # The fan-in-1 first layer is cheaper as a broadcast than a rank-1 gemm.
         # ReLU is applied in place and post-activations are kept: they double as
         # the backward mask (max(z, 0) > 0 iff z > 0) and as the layer inputs.
-        beta, layers = self._unpack(w)
-        a = np.ascontiguousarray(x.T)[:, :, None]  # (K, B, 1)
         acts = []
         last = len(layers) - 1
         for i, (weight, bias) in enumerate(layers):
@@ -131,7 +133,12 @@ class NamProblem(LossProblem):
                 np.maximum(z, 0.0, out=z)
             acts.append(z)
             a = z
-        pred = beta + a[:, :, 0].sum(axis=0)
+        return acts
+
+    def _forward(self, w: np.ndarray, x: np.ndarray):
+        beta, layers = self._unpack(w)
+        acts = self._subnets(np.ascontiguousarray(x.T)[:, :, None], layers)
+        pred = beta + acts[-1][:, :, 0].sum(axis=0)
         return pred, acts
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -175,6 +182,38 @@ class NamProblem(LossProblem):
             if i > 0:
                 da = np.matmul(dz, weight.transpose(0, 2, 1))
         return g
+
+    def probe_losses(self, w, d, layout, xi, batch=None) -> np.ndarray:
+        """Probe losses from one base forward plus one rerun per sub-network.
+
+        A probe moves one group, so every other sub-network's output is the
+        base one. Sub-network k's four probe weight vectors run stacked
+        through the same layer loop, and the bias probes shift the base sum.
+        The prediction is still summed over all K outputs in order, so each
+        loss is bit-identical to a full forward at the probed parameters.
+        """
+        if layout != self.default_layout:
+            return super().probe_losses(w, d, layout, xi, batch)
+        w, d = self.check_w(w), self.check_w(d)
+        x, y = self.resolve_batch(batch)
+        inputs = np.ascontiguousarray(x.T)[:, :, None]  # (K, B, 1)
+        beta, layers = self._unpack(w)
+        outs = self._subnets(inputs, layers)[-1][:, :, 0]  # (K, B)
+        out = np.empty(xi.shape)
+        total = outs.sum(axis=0)
+        for i, scale in enumerate(xi[0]):
+            out[0, i] = np.mean((w[0] - scale * d[0] + total - y) ** 2)
+        s = w[1:].reshape(self.n_features, self.per_subnet)
+        ds = d[1:].reshape(self.n_features, self.per_subnet)
+        mixed = outs.copy()
+        for k in range(self.n_features):
+            moved = s[k] - xi[k + 1][:, None] * ds[k]  # (4, per_subnet)
+            probed = self._subnets(inputs[k : k + 1], self._layers(moved))[-1]
+            for i in range(xi.shape[1]):
+                mixed[k] = probed[i, :, 0]
+                out[k + 1, i] = np.mean((beta + mixed.sum(axis=0) - y) ** 2)
+            mixed[k] = outs[k]
+        return out
 
     def test_metrics(self, w) -> dict:
         pred = self.predict(w, self.test.features)

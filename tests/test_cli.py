@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -31,6 +32,10 @@ class TestInformationalCommands:
     def test_budget(self, capsys):
         assert main(["budget", "100", "2", "10"]) == 0
         assert capsys.readouterr().out.strip() == "180"
+
+    def test_budget_fresh_probe_batch(self, capsys):
+        assert main(["budget", "100", "2", "10", "--fresh-probe-batch"]) == 0
+        assert capsys.readouterr().out.strip() == "190"
 
     def test_budget_invalid_arguments(self, capsys):
         assert main(["budget", "0", "2", "10"]) == 1
@@ -90,6 +95,15 @@ class TestRunCommand:
     def test_bad_override_value(self, ellipse_yaml, capsys):
         assert main(["run", str(ellipse_yaml), "--override", "hidlr.gamma=2"]) == 1
         assert "gamma" in capsys.readouterr().err
+
+    def test_diverging_baseline_exits_2(self, repo_root, tmp_path, capsys):
+        config = repo_root / "configs" / "nam-synthetic.yaml"
+        args = ["--override", "method=constant", "--override", "base_lr=0.02"]
+        with np.errstate(all="ignore"):
+            code = main(["run", str(config), *args, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "training loss at step 8 is inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestGridCommand:

@@ -39,26 +39,15 @@ def parabola_deltas(probe, a, b):
 class TestProbeMatrix:
     def test_two_group_rows(self):
         probe = build_probe_matrix(np.array([0.1, 0.5]))
-        expected = np.array(
-            [
-                [-0.2, 0.0],
-                [-0.1, 0.0],
-                [0.1, 0.0],
-                [0.2, 0.0],
-                [0.0, -1.0],
-                [0.0, -0.5],
-                [0.0, 0.5],
-                [0.0, 1.0],
-            ]
-        )
-        assert np.allclose(probe.matrix, expected)
+        expected = np.array([[-0.2, -0.1, 0.1, 0.2], [-1.0, -0.5, 0.5, 1.0]])
+        assert np.allclose(probe.xi_table(), expected)
         assert probe.k == 2
         assert not probe.floored.any()
 
     def test_single_group(self):
         probe = build_probe_matrix(np.array([1e-3]))
-        assert probe.matrix.shape == (4, 1)
-        assert np.allclose(probe.matrix[:, 0], PROBE_MULTIPLIERS * 1e-3)
+        assert probe.xi_table().shape == (1, 4)
+        assert np.allclose(probe.xi_table()[0], PROBE_MULTIPLIERS * 1e-3)
 
     def test_xi_ordering_is_group_major(self):
         probe = build_probe_matrix(np.array([0.1, 0.5]))
@@ -77,12 +66,14 @@ class TestProbeMatrix:
     def test_one_nonzero_per_row(self, k, seed):
         eta = make_rng(seed).uniform(1e-6, 1.0, k)
         probe = build_probe_matrix(eta)
-        assert probe.matrix.shape == (4 * k, k)
-        for j, row in enumerate(probe.matrix):
-            nz = np.flatnonzero(row)
-            assert nz.tolist() == [j // 4]
+        table = probe.xi_table()
+        assert table.shape == (k, 4)
+        xi = probe.xi()
+        for j in range(4 * k):
+            # probe j moves group j // 4 alone, by v_j times that group's rate
             v = PROBE_MULTIPLIERS[j % 4]
-            assert row[j // 4] == v * eta[j // 4]
+            assert probe.group_of_row(j) == j // 4
+            assert table[j // 4, j % 4] == v * eta[j // 4] == xi[j]
 
 
 class TestEvaluateProbes:
@@ -461,6 +452,15 @@ class TestForwardPassBudget:
 
     def test_every_step_probed_is_5t_for_one_group(self):
         assert forward_pass_budget(10, 1, 1) == 50
+
+    def test_fresh_probe_batch_adds_one_call_per_refresh(self):
+        # nam-synthetic: T = 900, K = 11, phi = 2 -> 450 refreshes of 44 + 1
+        assert forward_pass_budget(900, 11, 2, fresh_probe_batch=1) == 21150
+        assert forward_pass_budget(900, 11, 2, fresh_probe_batch=0) == 20700
+
+    def test_fresh_probe_batch_is_zero_or_one(self):
+        with pytest.raises(ValidationError):
+            forward_pass_budget(10, 1, 1, fresh_probe_batch=2)
 
     @pytest.mark.parametrize("bad", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
     def test_invalid_arguments(self, bad):

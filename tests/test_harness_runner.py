@@ -5,11 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from hidlr.errors import ValidationError
+from hidlr.controller import HiDlrConfig
+from hidlr.errors import NonFiniteLoss, ValidationError
+from hidlr.harness import runner
 from hidlr.harness.config import ExperimentConfig, parse_config
-from hidlr.harness.runner import CountingProblem, _Schedule, run_experiment
+from hidlr.harness.runner import (
+    CountingProblem,
+    RunRecord,
+    _eval_row,
+    _Schedule,
+    run_experiment,
+)
 from hidlr.linalg import make_rng
-from hidlr.problems import build_problem, ellipse_problem
+from hidlr.problems import FunctionProblem, build_problem, ellipse_problem
 
 
 def record_bytes(record):
@@ -117,6 +125,54 @@ class TestRunExperiment:
         assert calls["budget_exact"] is True
         assert calls["train"] == 10 + 4 * 2 * 10
         assert calls["expected_train"] == calls["train"]
+
+    def test_budget_audited_with_fresh_probe_batch(self):
+        cfg = ExperimentConfig(
+            problem="nam-synthetic",
+            method="hidlr",
+            seed=0,
+            iterations=6,
+            batch_size=64,
+            hidlr=HiDlrConfig(phi=2, fresh_probe_batch=True),
+        )
+        calls = run_experiment(cfg).summary["loss_calls"]
+        # T + (4K + 1) * ceil(T / phi) with K = 11
+        assert calls["train"] == calls["expected_train"] == 6 + 45 * 3
+        assert calls["budget_exact"] is True
+
+    def test_budget_audited_after_failed_refresh(self, monkeypatch):
+        def guarded(w):
+            return float((w**2).sum()) if w[0] < 1.5 else np.nan
+
+        problem = FunctionProblem(fn=guarded, grad_fn=lambda w: 2 * w, init=[1.0])
+        monkeypatch.setattr(runner, "build_problem", lambda *args: problem)
+        cfg = ellipse_cfg(iterations=3, hidlr=HiDlrConfig(eta0=0.5))
+        record = run_experiment(cfg)
+        # step 0's first probe moves w to 3.0 and fails: 1 of its 4 calls made
+        assert "non-finite" in record.probes[0]["reason"]
+        calls = record.summary["loss_calls"]
+        assert calls["train"] == calls["expected_train"] == 3 + 4 * 3 - 3
+        assert calls["budget_exact"] is True
+
+    def test_diverging_baseline_raises(self):
+        cfg = ExperimentConfig(
+            problem="nam-synthetic",
+            method="constant",
+            base_lr=0.02,
+            seed=0,
+            epochs=1,
+            batch_size=256,
+        )
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match="step 8"):
+            run_experiment(cfg)
+
+    def test_eval_row_cleans_non_finite_train_loss(self):
+        problem = CountingProblem(ellipse_problem())
+        schedule = _Schedule(problem, ellipse_cfg(iterations=1), make_rng(0))
+        record = RunRecord()
+        _eval_row(problem, np.zeros(2), 0, schedule, [1.0, np.nan], np.ones(2), record)
+        assert record.rows[0]["train_loss"] is None
+        assert record.rows[0]["train_loss_last"] is None
 
     def test_probe_rows_per_refresh(self):
         record = run_experiment(ellipse_cfg(iterations=6))

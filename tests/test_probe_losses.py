@@ -1,0 +1,120 @@
+"""Structured ``probe_losses`` overrides against the generic probe loop."""
+
+import numpy as np
+import pytest
+
+from hidlr.controller import build_probe_matrix, evaluate_probes
+from hidlr.errors import NonFiniteLoss
+from hidlr.harness.runner import CountingProblem
+from hidlr.linalg import make_rng
+from hidlr.problems import PROBLEM_NAMES, FunctionProblem, build_problem, group_params
+from hidlr.problems.base import LossProblem
+
+from conftest import REPO_ROOT
+
+CSV = REPO_ROOT / "data" / "california_stand_in.csv"
+PARAMS = {"california-housing": {"csv_path": str(CSV)}}
+SEEDS = (0, 1, 2)
+NAMED_SPLIT = {"nam-synthetic": ["f2"], "multitask": ["task3"]}
+
+
+def build(name):
+    return build_problem(name, make_rng(0), PARAMS.get(name))
+
+
+def probe_point(problem, seed):
+    """A seeded (w, d, xi, batch): moved init, the gradient there, random rates."""
+    rng = make_rng(seed)
+    w = problem.init_params(rng)
+    w = w + 0.1 * rng.standard_normal(w.shape)
+    batch = None
+    if problem.train is not None:
+        batch = rng.choice(problem.train.n, size=64, replace=False)
+    d = problem.grad(w, batch)
+    eta = 10.0 ** rng.uniform(-4, -1, problem.default_layout.k)
+    return w, d, build_probe_matrix(eta).xi_table(), batch
+
+
+def generic(problem, w, d, layout, xi, batch):
+    return LossProblem.probe_losses(problem, w, d, layout, xi, batch)
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_matches_generic_loop(name, seed):
+    problem = build(name)
+    layout = problem.default_layout
+    w, d, xi, batch = probe_point(problem, seed)
+    fast = problem.probe_losses(w, d, layout, xi, batch)
+    slow = generic(problem, w, d, layout, xi, batch)
+    assert fast.shape == (layout.k, 4)
+    assert np.all(np.isfinite(slow))
+    if name == "multitask":  # sums in another order: equal to rounding
+        np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
+    else:
+        assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("name", ["nam-synthetic", "california-housing", "multitask"])
+def test_inputs_left_untouched(name):
+    problem = build(name)
+    w, d, xi, batch = probe_point(problem, 0)
+    before = (w.tobytes(), d.tobytes(), xi.tobytes())
+    problem.probe_losses(w, d, problem.default_layout, xi, batch)
+    assert (w.tobytes(), d.tobytes(), xi.tobytes()) == before
+
+
+@pytest.mark.parametrize("name", ["nam-synthetic", "multitask"])
+@pytest.mark.parametrize("strategy", ["single", "named-split"])
+def test_other_layouts_take_generic_loop(name, strategy, monkeypatch):
+    problem = build(name)
+    layout = group_params(problem, strategy, NAMED_SPLIT[name])
+    w, d, _, batch = probe_point(problem, 1)
+    xi = build_probe_matrix(np.full(layout.k, 1e-3)).xi_table()
+    calls = []
+    loss = problem.loss
+    monkeypatch.setattr(problem, "loss", lambda w, b=None: calls.append(1) or loss(w, b))
+    fast = problem.probe_losses(w, d, layout, xi, batch)
+    assert len(calls) == 4 * layout.k
+    assert np.array_equal(fast, generic(problem, w, d, layout, xi, batch))
+
+
+@pytest.mark.parametrize("name", ["nam-synthetic", "multitask"])
+def test_counting_after_failed_probe_set(name):
+    # group 1's outer probes step by +-inf, so probe j = 4 is the first to fail
+    inner = build(name)
+    problem = CountingProblem(inner)
+    layout = inner.default_layout
+    w, d, _, batch = probe_point(inner, 2)
+    eta = np.full(layout.k, 1e-3)
+    eta[1] = 1e308
+    probe = build_probe_matrix(eta)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss) as err:
+        evaluate_probes(problem, w, d, layout, probe, batch, inner.loss(w, batch))
+    assert err.value.calls_made == 5
+    assert problem.train_loss_calls == 5
+
+
+def test_counting_matches_generic_loop_stop():
+    def guarded(w):
+        return float(w[0]) if w[0] >= 0 else np.inf
+
+    inner = FunctionProblem(
+        fn=guarded, grad_fn=lambda w: np.ones(1), init=[1.0], name="guard"
+    )
+    problem = CountingProblem(inner)
+    probe = build_probe_matrix(np.array([1.01]))
+    w = np.array([1.0])
+    # probes move w[0] to 3.02, 2.01, -0.01 -> the third call fails
+    with pytest.raises(NonFiniteLoss) as err:
+        evaluate_probes(problem, w, np.ones(1), inner.default_layout, probe, None, 1.0)
+    assert err.value.calls_made == 3
+    assert problem.train_loss_calls == 3
+
+
+def test_counting_full_probe_set():
+    inner = build("nam-synthetic")
+    problem = CountingProblem(inner)
+    w, d, xi, batch = probe_point(inner, 0)
+    problem.probe_losses(w, d, inner.default_layout, xi, batch)
+    assert problem.train_loss_calls == 4 * inner.default_layout.k
