@@ -168,12 +168,14 @@ def evaluate_probes(
     layout: GroupLayout,
     probe: ProbeMatrix,
     batch: Optional[np.ndarray],
-    l0: float,
+    l0: Optional[float],
 ) -> np.ndarray:
     """Loss change at each probed displacement; 4K loss evaluations, w untouched.
 
     ``l0`` is the already-computed loss at ``w`` on the same batch. The
-    losses come from one ``problem.probe_losses`` call.
+    losses come from one ``problem.probe_losses`` call. With ``l0=None``
+    they come from one ``problem.anchored_probe_losses`` call instead,
+    which also gives the anchor, at one more loss evaluation.
     """
     w = np.asarray(w, dtype=np.float64)
     dir_vec = np.asarray(dir_vec, dtype=np.float64)
@@ -181,7 +183,13 @@ def evaluate_probes(
         raise LengthMismatch(
             f"params {w.shape} / direction {dir_vec.shape} vs layout dim {layout.dim}"
         )
-    losses = problem.probe_losses(w, dir_vec, layout, probe.xi_table(), batch).ravel()
+    if l0 is None:
+        l0, losses = problem.anchored_probe_losses(
+            w, dir_vec, layout, probe.xi_table(), batch
+        )
+    else:
+        losses = problem.probe_losses(w, dir_vec, layout, probe.xi_table(), batch)
+    losses = losses.ravel()
     calls = probe_calls(losses)
     if not math.isfinite(losses[calls - 1]):
         j = calls - 1
@@ -300,7 +308,11 @@ def gate_and_update(
 
 @dataclass
 class StepResult:
-    """One training step's outputs; ``loss_calls`` counts loss() invocations."""
+    """One training step's outputs.
+
+    ``loss_calls`` counts training-loss evaluations: the step's loss, the
+    fresh-batch probe anchor, and each probe, however they were computed.
+    """
 
     w: np.ndarray
     lr_state: LrState
@@ -320,18 +332,17 @@ def hidlr_step(
     t: int,
     probe_batch: Optional[np.ndarray] = None,
 ) -> StepResult:
-    """One full training step: loss, gradient, optional refresh, update.
+    """One full training step: loss and gradient, optional refresh, update.
 
     A refresh happens when ``t % cfg.phi == 0`` (so always at t = 0). A
     probe or fit failure rejects the refresh and training continues with
     the previous rates. ``probe_batch`` (when given) replaces the step's
     batch for probing only; this costs one extra loss call to re-anchor
-    the baseline.
+    the baseline, made by the probe set itself.
     """
-    l0 = problem.loss(w, batch)
+    l0, g = problem.loss_and_grad(w, batch)
     if not math.isfinite(l0):
         raise NonFiniteLoss(f"training loss at step {t} is {l0}")
-    g = problem.grad(w, batch)
     d = direction(opt_state, g, w)
 
     refresh = None
@@ -341,8 +352,7 @@ def hidlr_step(
         if probe_batch is None:
             pb, lp = batch, l0
         else:
-            pb = probe_batch
-            lp = problem.loss(w, pb)
+            pb, lp = probe_batch, None  # the probe set anchors itself
             loss_calls += 1
         eta_before = lr_state.eta
         try:

@@ -40,8 +40,9 @@ from .config import ExperimentConfig
 class CountingProblem:
     """Transparent wrapper that counts loss/grad calls by channel.
 
-    Calls made while ``eval_mode`` is active (test-set evaluation) land in
-    a separate counter so the training-path budget can be audited exactly.
+    Test-set evaluations (one per ``test_metrics`` call that gives metrics,
+    and any loss call made while ``_in_eval`` is set) land in a separate
+    counter so the training-path budget can be audited exactly.
     """
 
     def __init__(self, inner: LossProblem):
@@ -67,16 +68,32 @@ class CountingProblem:
         self.train_loss_calls += probe_calls(losses)
         return losses
 
+    def anchored_probe_losses(self, w, d, layout, xi, batch=None):
+        """Count the anchor as one loss call, then the probes as the loop would."""
+        anchor, losses = self.inner.anchored_probe_losses(w, d, layout, xi, batch)
+        self.train_loss_calls += 1 + probe_calls(losses)
+        return anchor, losses
+
     def grad(self, w, batch=None):
         self.grad_calls += 1
         return self.inner.grad(w, batch)
 
+    def loss_and_grad(self, w, batch=None):
+        """One training loss and one gradient, however the problem fuses them."""
+        self.train_loss_calls += 1
+        self.grad_calls += 1
+        return self.inner.loss_and_grad(w, batch)
+
     def test_metrics(self, w):
+        """Count one test-set forward per call that gives metrics."""
         self._in_eval = True
         try:
-            return self.inner.test_metrics(w)
+            metrics = self.inner.test_metrics(w)
         finally:
             self._in_eval = False
+        if metrics is not None:
+            self.eval_loss_calls += 1
+        return metrics
 
 
 @dataclass
@@ -189,6 +206,7 @@ class _Schedule:
 
 
 def _eval_row(problem, w, t, schedule, epoch_losses, eta, record):
+    metrics = problem.test_metrics(w)  # counted before the row reads the counters
     row = {
         "iteration": t + 1,
         "epoch": (t + 1 + schedule.steps_per_epoch - 1) // schedule.steps_per_epoch,
@@ -198,7 +216,6 @@ def _eval_row(problem, w, t, schedule, epoch_losses, eta, record):
         "loss_calls": problem.train_loss_calls,
         "eval_loss_calls": problem.eval_loss_calls,
     }
-    metrics = problem.test_metrics(w)
     if metrics:
         row.update({k: _clean(v) for k, v in metrics.items()})
     record.rows.append(row)
@@ -256,10 +273,9 @@ def _run_scheduled(problem, w, layout, cfg: ExperimentConfig, schedule, record,
     for t in range(schedule.total_steps):
         batch = schedule.batch(t)
         lr = scheduler_lr(kind, t, schedule.total_steps, base_lr)
-        l0 = problem.loss(w, batch)
+        l0, g = problem.loss_and_grad(w, batch)
         if not math.isfinite(l0):
             raise NonFiniteLoss(f"training loss at step {t} is {l0}")
-        g = problem.grad(w, batch)
         d = direction(opt, g, w)
         eta = np.full(layout.k, lr)
         w = apply_update(w, layout, eta, d)

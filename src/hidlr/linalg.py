@@ -2,8 +2,7 @@
 
 Vectors and matrices are plain float64 numpy arrays. Randomness goes through
 numpy's PCG64 generator, which produces identical streams for identical seeds
-on every platform; generator state can be captured and restored mid-stream,
-so every experiment is bit-reproducible.
+on every platform, so every experiment is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -69,29 +68,3 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     """Derive ``n`` independent deterministic generators from one seed."""
     seqs = np.random.SeedSequence(seed).spawn(n)
     return [np.random.Generator(np.random.PCG64(s)) for s in seqs]
-
-
-def rng_state(rng: np.random.Generator) -> dict:
-    """Snapshot of the generator state (JSON-serialisable)."""
-    return rng.bit_generator.state
-
-
-def restore_rng(state: dict) -> np.random.Generator:
-    """Rebuild a generator that continues exactly from ``state``."""
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = state
-    return rng
-
-
-def rng_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    if n < 0:
-        raise LengthMismatch("n must be >= 0")
-    return rng.standard_normal(n)
-
-
-def rng_uniform(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
-    if n < 0:
-        raise LengthMismatch("n must be >= 0")
-    if not lo < hi:
-        raise LengthMismatch(f"need lo < hi, got [{lo}, {hi})")
-    return rng.uniform(lo, hi, size=n)

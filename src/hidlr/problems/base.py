@@ -4,7 +4,8 @@ A problem owns a flat float64 parameter vector of dimension D partitioned
 into K named, contiguous, disjoint groups. ``loss`` and ``grad`` are pure
 functions of (w, batch); batches index into the training split, ``None``
 means full batch (and is the only mode for the 2-D toy functions, which have
-no dataset at all).
+no dataset at all). ``loss_and_grad`` and ``anchored_probe_losses`` give
+both of their results from one forward where a problem can.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ class GroupLayout:
     def slices(self) -> list[slice]:
         return [self.slice(i) for i in range(self.k)]
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
     def validate(self) -> None:
         """Check the partition invariants; raises LengthMismatch otherwise."""
         if self.k < 1:
@@ -84,11 +82,6 @@ class GroupLayout:
         if per_group.shape != (self.k,):
             raise LengthMismatch(f"expected {self.k} per-group values, got {per_group.shape}")
         return np.repeat(per_group, self.lengths)
-
-    def group_norms(self, vec: np.ndarray) -> np.ndarray:
-        if vec.shape != (self.dim,):
-            raise LengthMismatch(f"vector shape {vec.shape} != ({self.dim},)")
-        return np.array([np.linalg.norm(vec[s]) for s in self.slices()])
 
 
 @dataclass
@@ -145,6 +138,15 @@ class LossProblem:
     def grad(self, w: np.ndarray, batch: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
 
+    def loss_and_grad(
+        self, w: np.ndarray, batch: Optional[np.ndarray] = None
+    ) -> tuple[float, np.ndarray]:
+        """``(loss(w, batch), grad(w, batch))``; an override shares the forward.
+
+        An override must give the same loss and gradient, bit for bit.
+        """
+        return self.loss(w, batch), self.grad(w, batch)
+
     def test_metrics(self, w: np.ndarray) -> Optional[dict]:
         """Loss (and accuracy, where classification) on the test split."""
         return None
@@ -176,6 +178,23 @@ class LossProblem:
                     return out
             moved[part] = w[part]
         return out
+
+    def anchored_probe_losses(
+        self,
+        w: np.ndarray,
+        d: np.ndarray,
+        layout: GroupLayout,
+        xi: np.ndarray,
+        batch: Optional[np.ndarray] = None,
+    ) -> tuple[float, np.ndarray]:
+        """``(loss(w, batch), probe_losses(...))``: the probes and their anchor.
+
+        The anchor counts as one more training-loss evaluation. An override
+        may take it from the base forward its probes already run, but must
+        give the same values bit for bit, and must fall back on this default
+        for any layout it was not written for.
+        """
+        return self.loss(w, batch), self.probe_losses(w, d, layout, xi, batch)
 
     def check_w(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)

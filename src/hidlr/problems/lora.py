@@ -64,14 +64,19 @@ class LoraRegressionProblem(LossProblem):
         return float(0.5 * np.sum(r * r) / x.shape[0])
 
     def grad(self, w, batch=None) -> np.ndarray:
+        return self.loss_and_grad(w, batch)[1]
+
+    def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
         x, y = self.resolve_batch(batch)
         a, b = self._unpack(w)
         xa = x @ a.T  # (B, r)
-        r = (xa @ b.T - y) / x.shape[0]  # (B, width)
+        residual = xa @ b.T - y  # (B, width)
+        loss = float(0.5 * np.sum(residual * residual) / x.shape[0])
+        r = residual / x.shape[0]
         ga = (b.T @ r.T) @ x  # (r, width)
         gb = r.T @ xa  # (width, r)
-        return np.concatenate([ga.ravel(), gb.ravel()])
+        return loss, np.concatenate([ga.ravel(), gb.ravel()])
 
     def test_metrics(self, w) -> dict:
         x, y = self.test.features, self.test.targets

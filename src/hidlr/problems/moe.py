@@ -109,9 +109,13 @@ class MoeProblem(LossProblem):
         return float(np.mean(bce_with_logits(z, y)))
 
     def grad(self, w, batch=None) -> np.ndarray:
+        return self.loss_and_grad(w, batch)[1]
+
+    def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
         x, y = self.resolve_batch(batch)
         z, (gz1, ga1, p, ez1, ea1, expert_logits) = self._forward(w, x)
+        loss = float(np.mean(bce_with_logits(z, y)))
         _, _, g2, _, _, _, e2, _ = self._views(w)
 
         g = np.zeros(self.dim)
@@ -144,7 +148,7 @@ class MoeProblem(LossProblem):
         g[o : o + h * N_EXPERTS] = (ga1.T @ dgate_logits).ravel()
         o += h * N_EXPERTS
         g[o : o + N_EXPERTS] = dgate_logits.sum(axis=0)
-        return g
+        return loss, g
 
     def test_metrics(self, w) -> dict:
         x, y = self.test.features, self.test.targets

@@ -86,11 +86,15 @@ class MultitaskHeadProblem(LossProblem):
         return float(np.mean(bce_with_logits(logits, y)))
 
     def grad(self, w, batch=None) -> np.ndarray:
+        return self.loss_and_grad(w, batch)[1]
+
+    def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
         z, y = self._resolve_z(batch)
-        logits = z @ self._head(w).T
+        logits = z @ self._head(w).T  # (B, K)
+        loss = float(np.mean(bce_with_logits(logits, y)))
         dlogits = (sigmoid(logits) - y) / logits.size
-        return (dlogits.T @ z).ravel()
+        return loss, (dlogits.T @ z).ravel()
 
     def probe_losses(self, w, d, layout, xi, batch=None) -> np.ndarray:
         """Probe losses from two head products, using the head's linearity.
@@ -102,16 +106,28 @@ class MultitaskHeadProblem(LossProblem):
         """
         if layout != self.default_layout:
             return super().probe_losses(w, d, layout, xi, batch)
+        return self._anchored_probes(w, d, xi, batch)[1]
+
+    def anchored_probe_losses(self, w, d, layout, xi, batch=None):
+        """The probe table, anchored on the loss of the base logits it computes."""
+        if layout != self.default_layout:
+            return super().anchored_probe_losses(w, d, layout, xi, batch)
+        return self._anchored_probes(w, d, xi, batch)
+
+    def _anchored_probes(self, w, d, xi, batch):
         z, y = self._resolve_z(batch)
         logits = z @ self._head(self.check_w(w)).T  # (B, K)
         slopes = z @ self._head(self.check_w(d)).T
-        base = bce_with_logits(logits, y).sum(axis=0)  # (K,)
+        bce = bce_with_logits(logits, y)
+        anchor = float(np.mean(bce))  # as ``loss`` computes it
+        base = bce.sum(axis=0)  # (K,)
+        del bce  # holding it through the probe loop raises the peak memory
         total = base.sum()
         out = np.empty(xi.shape)
         for i in range(xi.shape[1]):
             moved = bce_with_logits(logits - xi[:, i] * slopes, y).sum(axis=0)
             out[:, i] = (total - base + moved) / logits.size
-        return out
+        return anchor, out
 
     def per_task_losses(self, w, split: str = "test") -> np.ndarray:
         z, y = (

@@ -151,15 +151,20 @@ class NamProblem(LossProblem):
         return float(np.mean((pred - y) ** 2))
 
     def grad(self, w, batch=None) -> np.ndarray:
+        return self.loss_and_grad(w, batch)[1]
+
+    def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
         x, y = self.resolve_batch(batch)
         pred, acts = self._forward(w, x)
         _, layers = self._unpack(w)
+        residual = pred - y
+        loss = float(np.mean(residual**2))
 
         g = np.zeros(self.dim)
         gs = g[1:].reshape(self.n_features, self.per_subnet)
 
-        dpred = 2.0 * (pred - y) / y.shape[0]  # (B,)
+        dpred = 2.0 * residual / y.shape[0]  # (B,)
         g[0] = dpred.sum()
         # Output of subnet k enters the prediction with unit weight.
         da = np.broadcast_to(dpred[None, :, None], acts[-1].shape)  # (K, B, 1)
@@ -180,8 +185,10 @@ class NamProblem(LossProblem):
             gs[:, off : off + n_w] = gw.reshape(self.n_features, n_w)
             gs[:, off + n_w : off + n_w + fan_out] = dz.sum(axis=1)
             if i > 0:
-                da = np.matmul(dz, weight.transpose(0, 2, 1))
-        return g
+                # a fan-out-1 layer's product is an outer one, cheaper as a broadcast
+                wt = weight.transpose(0, 2, 1)
+                da = dz * wt if fan_out == 1 else np.matmul(dz, wt)
+        return loss, g
 
     def probe_losses(self, w, d, layout, xi, batch=None) -> np.ndarray:
         """Probe losses from one base forward plus one rerun per sub-network.
@@ -194,6 +201,15 @@ class NamProblem(LossProblem):
         """
         if layout != self.default_layout:
             return super().probe_losses(w, d, layout, xi, batch)
+        return self._anchored_probes(w, d, xi, batch)[1]
+
+    def anchored_probe_losses(self, w, d, layout, xi, batch=None):
+        """The probe table, anchored on the loss of the base forward it runs."""
+        if layout != self.default_layout:
+            return super().anchored_probe_losses(w, d, layout, xi, batch)
+        return self._anchored_probes(w, d, xi, batch)
+
+    def _anchored_probes(self, w, d, xi, batch):
         w, d = self.check_w(w), self.check_w(d)
         x, y = self.resolve_batch(batch)
         inputs = np.ascontiguousarray(x.T)[:, :, None]  # (K, B, 1)
@@ -201,6 +217,7 @@ class NamProblem(LossProblem):
         outs = self._subnets(inputs, layers)[-1][:, :, 0]  # (K, B)
         out = np.empty(xi.shape)
         total = outs.sum(axis=0)
+        anchor = float(np.mean((beta + total - y) ** 2))  # as ``loss`` computes it
         for i, scale in enumerate(xi[0]):
             out[0, i] = np.mean((w[0] - scale * d[0] + total - y) ** 2)
         s = w[1:].reshape(self.n_features, self.per_subnet)
@@ -213,7 +230,7 @@ class NamProblem(LossProblem):
                 mixed[k] = probed[i, :, 0]
                 out[k + 1, i] = np.mean((beta + mixed.sum(axis=0) - y) ** 2)
             mixed[k] = outs[k]
-        return out
+        return anchor, out
 
     def test_metrics(self, w) -> dict:
         pred = self.predict(w, self.test.features)

@@ -18,7 +18,6 @@ class TestGroupLayout:
         assert lay.dim == 5
         assert lay.names == ("a", "b")
         assert lay.slice(1) == slice(2, 5)
-        assert lay.index_of("b") == 1
 
     def test_noncontiguous_rejected(self):
         bad = GroupLayout(("a", "b"), (0, 3), (2, 2))  # gap at offset 2
@@ -47,11 +46,6 @@ class TestGroupLayout:
         lay = GroupLayout.from_sizes([("a", 2)])
         with pytest.raises(LengthMismatch):
             lay.expand(np.array([1.0, 2.0]))
-
-    def test_group_norms(self):
-        lay = GroupLayout.from_sizes([("a", 2), ("b", 1)])
-        norms = lay.group_norms(np.array([3.0, 4.0, 2.0]))
-        assert np.allclose(norms, [5.0, 2.0])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6))

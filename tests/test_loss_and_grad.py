@@ -1,0 +1,179 @@
+"""Fused ``loss_and_grad`` and ``anchored_probe_losses`` against their defaults."""
+
+import numpy as np
+import pytest
+
+from hidlr.controller import (
+    HiDlrConfig,
+    build_probe_matrix,
+    evaluate_probes,
+    hidlr_step,
+    initial_lr_state,
+)
+from hidlr.errors import NonFiniteLoss
+from hidlr.harness.config import ExperimentConfig, load_config_dict
+from hidlr.harness.runner import CountingProblem, run_experiment
+from hidlr.linalg import make_rng
+from hidlr.optim import OptimizerState
+from hidlr.problems import PROBLEM_NAMES, build_problem, group_params
+from hidlr.problems.base import LossProblem
+
+from conftest import REPO_ROOT
+
+SEEDS = (0, 1, 2)
+ANCHORED = ("nam-synthetic", "california-housing", "multitask")
+
+
+def preset(name):
+    """(problem, batch size) as the preset of the same name builds them."""
+    raw = load_config_dict(REPO_ROOT / "configs" / f"{name}.yaml")
+    params = dict(raw.get("problem_params") or {})
+    if "csv_path" in params:
+        params["csv_path"] = str(REPO_ROOT / params["csv_path"])
+    return build_problem(name, make_rng(0), params), raw.get("batch_size")
+
+
+def point(problem, seed, batch_size):
+    """A seeded (w, d, batch): moved init, the gradient there, a random batch."""
+    rng = make_rng(seed)
+    w = problem.init_params(rng)
+    w = w + 0.1 * rng.standard_normal(w.shape)
+    batch = None
+    if batch_size is not None:
+        batch = rng.choice(problem.train.n, size=batch_size, replace=False)
+    return w, problem.grad(w, batch), batch
+
+
+def xi_for(layout, seed):
+    eta = 10.0 ** make_rng(seed).uniform(-4, -1, layout.k)
+    return build_probe_matrix(eta).xi_table()
+
+
+def spy_loss(problem, monkeypatch):
+    """Record every call of ``problem.loss`` from now on."""
+    calls = []
+    loss = problem.loss
+    monkeypatch.setattr(problem, "loss", lambda w, b=None: calls.append(1) or loss(w, b))
+    return calls
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("full_batch", [False, True])
+def test_loss_and_grad_matches_loss_and_grad(name, seed, full_batch):
+    problem, batch_size = preset(name)
+    w, _, batch = point(problem, seed, batch_size)
+    if full_batch:
+        batch = None
+    loss, g = problem.loss_and_grad(w, batch)
+    assert isinstance(loss, float)
+    assert loss == problem.loss(w, batch)
+    assert np.array_equal(g, problem.grad(w, batch))
+
+
+@pytest.mark.parametrize("name", ANCHORED)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_anchor_and_table_match_separate_calls(name, seed, monkeypatch):
+    problem, batch_size = preset(name)
+    layout = problem.default_layout
+    w, d, batch = point(problem, seed, batch_size)
+    xi = xi_for(layout, seed)
+    calls = spy_loss(problem, monkeypatch)
+    anchor, table = problem.anchored_probe_losses(w, d, layout, xi, batch)
+    assert calls == []  # the override runs no separate loss
+    assert anchor == problem.loss(w, batch)
+    assert np.array_equal(table, problem.probe_losses(w, d, layout, xi, batch))
+
+
+@pytest.mark.parametrize("name", ANCHORED)
+def test_other_layout_takes_default_anchor(name, monkeypatch):
+    problem, batch_size = preset(name)
+    layout = group_params(problem, "single")
+    w, d, batch = point(problem, 1, batch_size)
+    xi = xi_for(layout, 1)
+    calls = spy_loss(problem, monkeypatch)
+    anchor, table = problem.anchored_probe_losses(w, d, layout, xi, batch)
+    assert len(calls) == 1 + 4 * layout.k
+    default = LossProblem.anchored_probe_losses(problem, w, d, layout, xi, batch)
+    assert anchor == default[0]
+    assert np.array_equal(table, default[1])
+
+
+@pytest.mark.parametrize("name", ["ellipse", "nam-synthetic"])
+def test_counting_fused_step(name):
+    inner, batch_size = preset(name)
+    problem = CountingProblem(inner)
+    w, _, batch = point(inner, 0, batch_size)
+    problem.loss_and_grad(w, batch)
+    assert (problem.train_loss_calls, problem.grad_calls) == (1, 1)
+    assert problem.eval_loss_calls == 0
+
+
+@pytest.mark.parametrize("strategy", ["default", "single"])
+def test_counting_anchored_probe_set(strategy):
+    inner, batch_size = preset("nam-synthetic")
+    problem = CountingProblem(inner)
+    layout = group_params(inner, strategy)
+    w, d, batch = point(inner, 0, batch_size)
+    problem.anchored_probe_losses(w, d, layout, xi_for(layout, 0), batch)
+    assert problem.train_loss_calls == 1 + 4 * layout.k
+
+
+@pytest.mark.parametrize("name", ["nam-synthetic", "multitask"])
+def test_counting_anchor_after_failed_probe_set(name):
+    # group 1's outer probes step by +-inf, so probe j = 4 is the first to fail
+    inner, batch_size = preset(name)
+    problem = CountingProblem(inner)
+    layout = inner.default_layout
+    w, d, batch = point(inner, 2, batch_size)
+    eta = np.full(layout.k, 1e-3)
+    eta[1] = 1e308
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss) as err:
+        evaluate_probes(problem, w, d, layout, build_probe_matrix(eta), batch, None)
+    assert err.value.calls_made == 5
+    assert problem.train_loss_calls == 1 + 5
+
+
+def test_fresh_batch_step_runs_one_forward_per_call(monkeypatch):
+    inner, batch_size = preset("nam-synthetic")
+    problem = CountingProblem(inner)
+    layout = inner.default_layout
+    w, _, batch = point(inner, 0, batch_size)
+    fresh = make_rng(5).choice(inner.train.n, size=batch_size, replace=False)
+    cfg = HiDlrConfig(phi=1, fresh_probe_batch=True)
+    calls = spy_loss(inner, monkeypatch)
+    res = hidlr_step(
+        problem,
+        w,
+        initial_lr_state(cfg, layout.k),
+        OptimizerState.create("sgd", inner.dim),
+        cfg,
+        layout,
+        batch,
+        0,
+        probe_batch=fresh,
+    )
+    assert calls == []  # no loss outside loss_and_grad and the probe set
+    assert res.l0 == inner.loss(w, batch)
+    assert res.refresh.probe_calls == 4 * layout.k
+    assert res.loss_calls == problem.train_loss_calls == 1 + 1 + 4 * layout.k
+    assert problem.grad_calls == 1
+
+
+def test_fresh_batch_run_audits_and_counts_evals():
+    cfg = ExperimentConfig(
+        problem="nam-synthetic",
+        method="hidlr",
+        seed=0,
+        epochs=2,
+        batch_size=256,
+        hidlr=HiDlrConfig(phi=2, fresh_probe_batch=True),
+    )
+    record = run_experiment(cfg)
+    calls = record.summary["loss_calls"]
+    assert calls["budget_exact"] is True
+    assert calls["train"] == calls["expected_train"]
+    assert calls["grad"] == record.summary["total_steps"]
+    assert len(record.rows) == 2
+    assert [row["eval_loss_calls"] for row in record.rows] == [1, 2]
+    assert calls["eval"] == len(record.rows)
