@@ -25,11 +25,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteLoss, SingularFit, ValidationError
-from .linalg import r2_score, solve_least_squares
+from .linalg import r2_score
 from .optim import OptimizerState, apply_update, direction
 from .problems.base import GroupLayout, LossProblem, probe_calls
 
 PROBE_MULTIPLIERS = np.array([-2.0, -1.0, 1.0, 2.0])
+# Fit design at u = PROBE_MULTIPLIERS: columns 0.5*u^2 and -u, orthogonal,
+# with squared norms 8.5 and 10 (the exact origin point adds a zero row).
+FIT_DESIGN = np.column_stack([0.5 * PROBE_MULTIPLIERS**2, -PROBE_MULTIPLIERS])
+FIT_NORMS = np.sum(FIT_DESIGN**2, axis=0)
 GATING_MODES = ("global", "per-group")
 
 # a_k must exceed this fraction of |b_k| to count as a positive curvature;
@@ -202,48 +206,50 @@ def evaluate_probes(
 
 
 def fit_diag_quadratic(probe: ProbeMatrix, delta_l: np.ndarray) -> QuadraticFit:
-    """Independent 2-parameter least squares per group, origin included.
+    """Per-group parabola through four probes and the exact (0, 0), in closed form.
 
-    Each group's five points (its four probes plus the exact (0, 0)) are
-    fitted in the normalized coordinate u = xi/eta, where the design is
-    orthogonal, then rescaled; this keeps the solve well-conditioned for
-    any rate magnitude.
+    In the normalized coordinate u = xi/eta the design columns 0.5*u^2 and
+    -u are orthogonal (FIT_DESIGN), so each group's least-squares
+    coefficients are its responses projected on each column divided by the
+    column's squared norm. All K groups are solved by one (K, 4) @ (4, 2)
+    product (the origin row adds nothing to it), then rescaled by eta; this
+    stays well-conditioned for any rate magnitude.
     """
     k = probe.k
     delta_l = np.asarray(delta_l, dtype=np.float64)
     if delta_l.shape != (4 * k,):
         raise SingularFit(f"expected {4 * k} probe responses, got {delta_l.shape}")
-    if not np.all(np.isfinite(delta_l)):
+    if not np.isfinite(delta_l).all():
         raise NonFiniteLoss("probe responses contain NaN/Inf")
+    for g, scale in enumerate(probe.eta_base.tolist()):
+        if not (math.isfinite(scale) and scale > 0):
+            raise SingularFit(f"group {g} probe scale {scale} is unusable")
 
-    u = np.append(PROBE_MULTIPLIERS, 0.0)
-    design = np.column_stack([0.5 * u**2, -u])  # orthogonal columns
-    a = np.empty(k)
-    b = np.empty(k)
-    r2_group = np.empty(k)
-    predicted = np.empty(4 * k)
-    for g in range(k):
-        eta = probe.eta_base[g]
-        if not (np.isfinite(eta) and eta > 0):
-            raise SingularFit(f"group {g} probe scale {eta} is unusable")
-        responses = np.append(delta_l[4 * g : 4 * g + 4], 0.0)
-        coef = solve_least_squares(design, responses)
-        # coef fits dL = 0.5*a'*u^2 - b'*u with u = xi/eta
-        a[g] = coef[0] / eta**2
-        b[g] = coef[1] / eta
-        pred = design[:4] @ coef
-        predicted[4 * g : 4 * g + 4] = pred
-        r2_group[g] = r2_score(delta_l[4 * g : 4 * g + 4], pred)
-    r2_pooled = r2_score(delta_l, predicted)
+    eta = probe.eta_base
+    responses = delta_l.reshape(k, 4)
+    # coef fits dL = 0.5*a'*u^2 - b'*u with u = xi/eta
+    coef = responses @ FIT_DESIGN / FIT_NORMS  # (K, 2)
+    pred = coef @ FIT_DESIGN.T  # (K, 4)
+    ss_res = ((responses - pred) ** 2).sum(axis=1)
+    centered = responses - (responses.sum(axis=1) / 4)[:, None]
+    ss_tot = (centered**2).sum(axis=1)
+    # R^2 is 0.0 for (numerically) constant responses, as in r2_score
+    unexplained = np.divide(ss_res, ss_tot, out=np.ones(k), where=ss_tot >= 1e-30)
+    predicted = pred.ravel()
     return QuadraticFit(
-        a=a,
-        b=b,
-        r2_group=r2_group,
-        r2_pooled=float(r2_pooled),
+        a=coef[:, 0] / eta**2,
+        b=coef[:, 1] / eta,
+        r2_group=1.0 - unexplained,
+        r2_pooled=r2_score(delta_l, predicted),
         xi=probe.xi(),
         delta_l=delta_l,
         predicted=predicted,
     )
+
+
+def _curvature_ok(fit: QuadraticFit) -> np.ndarray:
+    """Per group: a is positive and above CURVATURE_REL_FLOOR * |b|."""
+    return fit.a > np.maximum(0.0, CURVATURE_REL_FLOOR * np.abs(fit.b))
 
 
 def optimal_lr(fit: QuadraticFit, persistence: float = 0.0) -> np.ndarray:
@@ -252,15 +258,14 @@ def optimal_lr(fit: QuadraticFit, persistence: float = 0.0) -> np.ndarray:
     ``persistence`` is the direction's per-step decay from
     ``OptimizerState.persistence``: 0 for sgd, whose target is exactly b/a.
     """
-    valid = fit.a > np.maximum(0.0, CURVATURE_REL_FLOOR * np.abs(fit.b))
+    valid = _curvature_ok(fit)
     eta_star = np.full(fit.a.shape, np.nan)
     eta_star[valid] = (1.0 - persistence) * (fit.b[valid] / fit.a[valid])
     return eta_star
 
 
 def _group_ok(fit: QuadraticFit) -> np.ndarray:
-    a_ok = fit.a > np.maximum(0.0, CURVATURE_REL_FLOOR * np.abs(fit.b))
-    return a_ok & (fit.b > 0.0)
+    return _curvature_ok(fit) & (fit.b > 0.0)
 
 
 def gate_and_update(
@@ -272,7 +277,7 @@ def gate_and_update(
     """Accept the refresh (EMA + clamp) or keep the rates bit-identical."""
     if cfg.gating == "global":
         failures = []
-        if not np.all(fit.a > np.maximum(0.0, CURVATURE_REL_FLOOR * np.abs(fit.b))):
+        if not np.all(_curvature_ok(fit)):
             failures.append("curvature a not positive for all groups")
         if not np.all(fit.b > 0.0):
             failures.append("slope b not positive for all groups")

@@ -105,6 +105,11 @@ class RunRecord:
     summary: dict = field(default_factory=dict)
 
 
+def _finite(value: float) -> Optional[float]:
+    """A Python float as JSON: itself if finite, else None."""
+    return value if math.isfinite(value) else None
+
+
 def _clean(value):
     """Make numpy values JSON-friendly; NaN becomes None."""
     if isinstance(value, np.ndarray):
@@ -112,8 +117,7 @@ def _clean(value):
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
     if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return value if math.isfinite(value) else None
+        return _finite(float(value))
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.bool_,)):
@@ -126,7 +130,8 @@ def refresh_rows(refresh: RefreshRecord, layout: GroupLayout) -> list:
     rows = []
     fit = refresh.fit
     if fit is not None:
-        for j in range(fit.xi.shape[0]):
+        columns = zip(fit.xi.tolist(), fit.delta_l.tolist(), fit.predicted.tolist())
+        for j, (xi, delta_l, predicted) in enumerate(columns):
             g = j // 4
             rows.append(
                 {
@@ -134,9 +139,9 @@ def refresh_rows(refresh: RefreshRecord, layout: GroupLayout) -> list:
                     "t": refresh.t,
                     "group": g,
                     "group_name": layout.names[g],
-                    "xi": _clean(fit.xi[j]),
-                    "delta_l": _clean(fit.delta_l[j]),
-                    "predicted": _clean(fit.predicted[j]),
+                    "xi": _finite(xi),
+                    "delta_l": _finite(delta_l),
+                    "predicted": _finite(predicted),
                 }
             )
     rows.append(

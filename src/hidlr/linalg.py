@@ -52,8 +52,8 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
         raise LengthMismatch(f"shapes {y_true.shape} and {y_pred.shape} differ")
     if y_true.size < 2:
         raise LengthMismatch("need at least two points")
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
+    ss_res = float(((y_true - y_pred) ** 2).sum())
+    ss_tot = float(((y_true - y_true.sum() / y_true.size) ** 2).sum())
     if ss_tot < 1e-30:
         return 0.0
     return 1.0 - ss_res / ss_tot

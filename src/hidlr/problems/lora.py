@@ -9,6 +9,8 @@ learning rates exploit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import Dataset, GroupLayout, LossProblem
@@ -60,8 +62,33 @@ class LoraRegressionProblem(LossProblem):
         w = self.check_w(w)
         x, y = self.resolve_batch(batch)
         a, b = self._unpack(w)
-        r = (x @ a.T) @ b.T - y
-        return float(0.5 * np.sum(r * r) / x.shape[0])
+        return _half_mse(x @ a.T, b, y)
+
+    def probe_losses(self, w, d, layout, xi, batch=None) -> np.ndarray:
+        """Probe losses from one read of the batch.
+
+        An A probe recomputes ``x @ A.T`` with the moved A; the B probes
+        share the base ``x @ A.T``, formed only once the A probes are done.
+        Each loss is ``loss``'s expression on the moved factor, so the table
+        equals the default loop bit for bit, and like the loop it stops at
+        the first non-finite loss.
+        """
+        if layout != self.default_layout:
+            return super().probe_losses(w, d, layout, xi, batch)
+        x, y = self.resolve_batch(batch)
+        a, b = self._unpack(self.check_w(w))
+        da, db = self._unpack(self.check_w(d))
+        out = np.full(xi.shape, np.nan)
+        for i, s in enumerate(xi[0]):
+            out[0, i] = _half_mse(x @ (a - s * da).T, b, y)
+            if not math.isfinite(out[0, i]):
+                return out
+        xa = x @ a.T
+        for i, s in enumerate(xi[1]):
+            out[1, i] = _half_mse(xa, b - s * db, y)
+            if not math.isfinite(out[1, i]):
+                return out
+        return out
 
     def grad(self, w, batch=None) -> np.ndarray:
         return self.loss_and_grad(w, batch)[1]
@@ -79,9 +106,19 @@ class LoraRegressionProblem(LossProblem):
         return loss, np.concatenate([ga.ravel(), gb.ravel()])
 
     def test_metrics(self, w) -> dict:
+        a, b = self._unpack(self.check_w(w))
         x, y = self.test.features, self.test.targets
-        r = self.predict(w, x) - y
-        return {"test_loss": float(0.5 * np.sum(r * r) / x.shape[0])}
+        return {"test_loss": _half_mse(x @ a.T, b, y)}
+
+
+def _half_mse(xa: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
+    """Half squared error of ``xa @ b.T`` against ``y``, averaged over rows.
+
+    The residual is formed in place, so no prediction array outlives it.
+    """
+    r = xa @ b.T
+    r -= y
+    return float(0.5 * np.sum(r * r) / xa.shape[0])
 
 
 def lora_regression_problem(

@@ -9,6 +9,7 @@ from hidlr.controller import (
     PROBE_MULTIPLIERS,
     HiDlrConfig,
     LrState,
+    ProbeMatrix,
     QuadraticFit,
     build_probe_matrix,
     evaluate_probes,
@@ -19,8 +20,8 @@ from hidlr.controller import (
     initial_lr_state,
     optimal_lr,
 )
-from hidlr.errors import NonFiniteLoss, ValidationError
-from hidlr.linalg import make_rng
+from hidlr.errors import NonFiniteLoss, SingularFit, ValidationError
+from hidlr.linalg import make_rng, r2_score, solve_least_squares
 from hidlr.optim import OptimizerState
 from hidlr.problems import GroupLayout, ellipse_problem, quadratic_problem
 from hidlr.problems.toy2d import FunctionProblem
@@ -127,7 +128,71 @@ class TestEvaluateProbes:
         assert err.value.calls_made == 3
 
 
+def lstsq_fit(probe, delta_l):
+    """(a, b, predicted, r2_group) from one SVD least squares per group.
+
+    The reference for the closed form: each group's four probes plus the
+    exact (0, 0), in u = xi/eta, solved with ``solve_least_squares``.
+    """
+    u = np.append(PROBE_MULTIPLIERS, 0.0)
+    design = np.column_stack([0.5 * u**2, -u])
+    k = probe.k
+    a, b, r2_group = np.empty(k), np.empty(k), np.empty(k)
+    predicted = np.empty(4 * k)
+    for g in range(k):
+        eta = probe.eta_base[g]
+        rows = slice(4 * g, 4 * g + 4)
+        coef = solve_least_squares(design, np.append(delta_l[rows], 0.0))
+        a[g] = coef[0] / eta**2
+        b[g] = coef[1] / eta
+        predicted[rows] = design[:4] @ coef
+        r2_group[g] = r2_score(delta_l[rows], predicted[rows])
+    return a, b, predicted, r2_group
+
+
+def assert_rel_close(actual, expected):
+    """Equal to 1e-12 relative, an entry near 0 measured against the largest."""
+    expected = np.asarray(expected)
+    atol = 1e-12 * np.abs(expected).max()
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=atol)
+
+
 class TestFitDiagQuadratic:
+    @pytest.mark.parametrize("k", [1, 2, 11, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_group_lstsq(self, k, seed):
+        rng = make_rng(seed)
+        probe = build_probe_matrix(10.0 ** rng.uniform(-6, 0, k))
+        delta_l = rng.standard_normal(4 * k) * 10.0 ** rng.uniform(-8, 2, 4 * k)
+        fit = fit_diag_quadratic(probe, delta_l)
+        a, b, predicted, r2_group = lstsq_fit(probe, delta_l)
+        for actual, expected in [
+            (fit.a, a), (fit.b, b), (fit.predicted, predicted), (fit.r2_group, r2_group)
+        ]:
+            assert actual.shape == expected.shape
+            assert_rel_close(actual, expected)
+        assert fit.r2_pooled == pytest.approx(r2_score(delta_l, predicted), rel=1e-12)
+
+    def test_constant_and_exact_parabola_groups(self):
+        probe = build_probe_matrix(np.array([0.1, 0.02, 0.5]))
+        delta_l = parabola_deltas(probe, a=[2.0, 30.0, 0.4], b=[3.0, 0.5, -1.0])
+        delta_l[4:8] = 0.25  # group 1 answers every probe alike
+        delta_l[8:] += make_rng(4).standard_normal(4) * 0.05  # group 2: noisy
+        fit = fit_diag_quadratic(probe, delta_l)
+        _, _, _, r2_group = lstsq_fit(probe, delta_l)
+        assert fit.r2_group[1] == 0.0 == r2_group[1]
+        assert fit.r2_group[0] == pytest.approx(1.0, abs=1e-12)
+        assert_rel_close(fit.r2_group, r2_group)
+        assert 0.0 < fit.r2_group[2] < 1.0
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_unusable_probe_scale_names_its_group(self, bad):
+        probe = ProbeMatrix(
+            eta_base=np.array([0.1, 0.2, bad, 0.3]), floored=np.zeros(4, dtype=bool)
+        )
+        with pytest.raises(SingularFit, match=r"group 2 probe scale"):
+            fit_diag_quadratic(probe, np.ones(16))
+
     def test_known_parabola(self):
         probe = build_probe_matrix(np.array([0.1]))
         fit = fit_diag_quadratic(probe, np.array([0.64, 0.31, -0.29, -0.56]))
@@ -160,8 +225,6 @@ class TestFitDiagQuadratic:
 
     def test_wrong_length_rejected(self):
         probe = build_probe_matrix(np.array([0.1]))
-        from hidlr.errors import SingularFit
-
         with pytest.raises(SingularFit):
             fit_diag_quadratic(probe, np.zeros(5))
 

@@ -5,15 +5,22 @@ import json
 import numpy as np
 import pytest
 
-from hidlr.controller import HiDlrConfig
+from hidlr.controller import (
+    HiDlrConfig,
+    RefreshRecord,
+    build_probe_matrix,
+    fit_diag_quadratic,
+)
 from hidlr.errors import NonFiniteLoss, ValidationError
 from hidlr.harness import runner
 from hidlr.harness.config import ExperimentConfig, parse_config
 from hidlr.harness.runner import (
     CountingProblem,
     RunRecord,
+    _clean,
     _eval_row,
     _Schedule,
+    refresh_rows,
     run_experiment,
 )
 from hidlr.linalg import make_rng
@@ -103,6 +110,60 @@ class TestSchedule:
         fresh = schedule.fresh_batch()
         assert fresh.shape == (10,)
         assert len(set(fresh.tolist())) == 10
+
+
+def clean_rows(refresh, layout):
+    """Probe rows the element-by-element way: ``_clean`` on each numpy scalar."""
+    fit = refresh.fit
+    return [
+        {
+            "kind": "probe",
+            "t": refresh.t,
+            "group": j // 4,
+            "group_name": layout.names[j // 4],
+            "xi": _clean(fit.xi[j]),
+            "delta_l": _clean(fit.delta_l[j]),
+            "predicted": _clean(fit.predicted[j]),
+        }
+        for j in range(fit.xi.shape[0])
+    ]
+
+
+def a_refresh(fit, k):
+    eta = np.full(k, 1e-3)
+    return RefreshRecord(
+        t=8, fit=fit, eta_star=np.full(k, np.nan), eta_before=eta, eta_after=eta,
+        accepted=False, reason="r", floored=np.zeros(k, dtype=bool), probe_calls=4 * k,
+    )
+
+
+class TestRefreshRows:
+    layout = ellipse_problem().default_layout
+
+    def fitted(self):
+        probe = build_probe_matrix(np.array([0.1, 0.02]))
+        return fit_diag_quadratic(probe, make_rng(0).standard_normal(8))
+
+    def test_probe_rows_equal_clean_rows(self):
+        refresh = a_refresh(self.fitted(), 2)
+        rows = refresh_rows(refresh, self.layout)
+        assert rows[:-1] == clean_rows(refresh, self.layout)
+        assert json.dumps(rows[:-1]) == json.dumps(clean_rows(refresh, self.layout))
+        assert rows[-1]["kind"] == "refresh" and rows[-1]["a"] == _clean(refresh.fit.a)
+
+    def test_non_finite_predicted_is_null(self):
+        fit = self.fitted()
+        fit.predicted[5] = np.inf
+        fit.predicted[6] = np.nan
+        rows = refresh_rows(a_refresh(fit, 2), self.layout)
+        assert [r["predicted"] for r in rows[4:7]] == [fit.predicted[4], None, None]
+        assert "Infinity" not in json.dumps(rows) and "NaN" not in json.dumps(rows)
+
+    def test_failed_refresh_gives_decision_row_only(self):
+        rows = refresh_rows(a_refresh(None, 2), self.layout)
+        assert len(rows) == 1
+        assert rows[0]["kind"] == "refresh"
+        assert rows[0]["a"] is None and rows[0]["r2_pooled"] is None
 
 
 class TestRunExperiment:

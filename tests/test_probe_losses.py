@@ -1,5 +1,7 @@
 """Structured ``probe_losses`` overrides against the generic probe loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from conftest import REPO_ROOT
 CSV = REPO_ROOT / "data" / "california_stand_in.csv"
 PARAMS = {"california-housing": {"csv_path": str(CSV)}}
 SEEDS = (0, 1, 2)
-NAMED_SPLIT = {"nam-synthetic": ["f2"], "multitask": ["task3"]}
+NAMED_SPLIT = {"nam-synthetic": ["f2"], "multitask": ["task3"], "lora-synthetic": ["B"]}
 
 
 def build(name):
@@ -55,7 +57,9 @@ def test_matches_generic_loop(name, seed):
         assert np.array_equal(fast, slow)
 
 
-@pytest.mark.parametrize("name", ["nam-synthetic", "california-housing", "multitask"])
+@pytest.mark.parametrize(
+    "name", ["nam-synthetic", "california-housing", "multitask", "lora-synthetic"]
+)
 def test_inputs_left_untouched(name):
     problem = build(name)
     w, d, xi, batch = probe_point(problem, 0)
@@ -64,7 +68,7 @@ def test_inputs_left_untouched(name):
     assert (w.tobytes(), d.tobytes(), xi.tobytes()) == before
 
 
-@pytest.mark.parametrize("name", ["nam-synthetic", "multitask"])
+@pytest.mark.parametrize("name", ["nam-synthetic", "multitask", "lora-synthetic"])
 @pytest.mark.parametrize("strategy", ["single", "named-split"])
 def test_other_layouts_take_generic_loop(name, strategy, monkeypatch):
     problem = build(name)
@@ -79,7 +83,7 @@ def test_other_layouts_take_generic_loop(name, strategy, monkeypatch):
     assert np.array_equal(fast, generic(problem, w, d, layout, xi, batch))
 
 
-@pytest.mark.parametrize("name", ["nam-synthetic", "multitask"])
+@pytest.mark.parametrize("name", ["nam-synthetic", "multitask", "lora-synthetic"])
 def test_counting_after_failed_probe_set(name):
     # group 1's outer probes step by +-inf, so probe j = 4 is the first to fail
     inner = build(name)
@@ -118,3 +122,24 @@ def test_counting_full_probe_set():
     w, d, xi, batch = probe_point(inner, 0)
     problem.probe_losses(w, d, inner.default_layout, xi, batch)
     assert problem.train_loss_calls == 4 * inner.default_layout.k
+
+
+def peak_bytes(fn):
+    """Peak traced allocation while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lora_probe_set_peaks_no_higher_than_generic_loop():
+    problem = build("lora-synthetic")
+    layout = problem.default_layout
+    w, d, xi, _ = probe_point(problem, 0)
+    batch = make_rng(3).choice(problem.train.n, size=128, replace=False)
+    fast = peak_bytes(lambda: problem.probe_losses(w, d, layout, xi, batch))
+    slow = peak_bytes(lambda: generic(problem, w, d, layout, xi, batch))
+    assert fast <= slow
