@@ -331,7 +331,7 @@ def hidlr_step(
     w: np.ndarray,
     lr_state: LrState,
     opt_state: OptimizerState,
-    cfg: HiDlrConfig,
+    cfg: Optional[HiDlrConfig],
     layout: GroupLayout,
     batch: Optional[np.ndarray],
     t: int,
@@ -339,7 +339,8 @@ def hidlr_step(
 ) -> StepResult:
     """One full training step: loss and gradient, optional refresh, update.
 
-    A refresh happens when ``t % cfg.phi == 0`` (so always at t = 0). A
+    A refresh happens when ``t % cfg.phi == 0`` (so always at t = 0). With
+    ``cfg=None`` the step is plain: no refresh, at ``lr_state.eta`` as given. A
     probe or fit failure rejects the refresh and training continues with
     the previous rates. ``probe_batch`` (when given) replaces the step's
     batch for probing only; this costs one extra loss call to re-anchor
@@ -352,7 +353,7 @@ def hidlr_step(
 
     refresh = None
     loss_calls = 1
-    if t % cfg.phi == 0:
+    if cfg is not None and t % cfg.phi == 0:
         probe = build_probe_matrix(lr_state.eta, cfg.probe_floor)
         if probe_batch is None:
             pb, lp = batch, l0

@@ -8,7 +8,7 @@ seed; there is no implicit entropy anywhere in the harness.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,34 +21,6 @@ from ..problems import PROBLEM_NAMES, STRATEGIES
 
 METHODS = ("hidlr", "hiulr", "constant", "linear", "cosine", "grid")
 
-_TOP_KEYS = {
-    "problem",
-    "problem_params",
-    "grouping",
-    "grouping_names",
-    "method",
-    "optimizer",
-    "optimizer_params",
-    "hidlr",
-    "epochs",
-    "iterations",
-    "batch_size",
-    "base_lr",
-    "grid",
-    "seed",
-    "out_dir",
-}
-_HIDLR_KEYS = {
-    "phi",
-    "gamma",
-    "r2_threshold",
-    "eta0",
-    "eta_min",
-    "eta_max",
-    "probe_floor",
-    "gating",
-    "fresh_probe_batch",
-}
 _OPT_KEYS = {"beta1", "beta2", "eps", "mu", "weight_decay", "decay_in_direction"}
 
 
@@ -93,13 +65,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and (not isinstance(value, int) or value < 1):
                 raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+        self.base_lr = float(self.base_lr)
         if not self.base_lr > 0:
             raise ValidationError(f"base_lr must be positive, got {self.base_lr}")
         if self.grid is not None:
             self.grid = tuple(float(x) for x in self.grid)
             if not self.grid or any(x <= 0 for x in self.grid):
                 raise ValidationError("grid must be a nonempty list of positive rates")
-        self.grouping_names = tuple(self.grouping_names)
+        self.grouping_names = tuple(self.grouping_names or ())
         if not isinstance(self.problem_params, dict):
             raise ValidationError("problem_params must be a mapping")
 
@@ -125,7 +98,7 @@ def _check_keys(mapping: dict, allowed: set, path: str) -> None:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping (from YAML or overrides) into a config."""
     raw = _require_mapping(raw, "config")
-    _check_keys(raw, _TOP_KEYS, "")
+    _check_keys(raw, {f.name for f in fields(ExperimentConfig)}, "")
     for required in ("problem", "method", "seed"):
         if required not in raw:
             raise ValidationError(f"config is missing required key {required!r}")
@@ -135,32 +108,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
 
     hidlr_raw = _require_mapping(raw.get("hidlr"), "hidlr")
-    _check_keys(hidlr_raw, _HIDLR_KEYS, "hidlr")
+    _check_keys(hidlr_raw, {f.name for f in fields(HiDlrConfig)}, "hidlr")
     opt_raw = _require_mapping(raw.get("optimizer_params"), "optimizer_params")
     _check_keys(opt_raw, _OPT_KEYS, "optimizer_params")
     problem_params = _require_mapping(raw.get("problem_params"), "problem_params")
-
-    try:
-        hidlr_cfg = HiDlrConfig(**hidlr_raw)
-    except TypeError as exc:  # pragma: no cover - guarded by _check_keys
-        raise ParseError(f"hidlr: {exc}") from None
-
     return ExperimentConfig(
-        problem=raw["problem"],
-        method=raw["method"],
-        seed=raw["seed"],
-        problem_params=dict(problem_params),
-        grouping=raw.get("grouping", "default"),
-        grouping_names=tuple(raw.get("grouping_names") or ()),
-        optimizer=raw.get("optimizer", "sgd"),
-        optimizer_params=dict(opt_raw),
-        hidlr=hidlr_cfg,
-        epochs=raw.get("epochs"),
-        iterations=raw.get("iterations"),
-        batch_size=raw.get("batch_size"),
-        base_lr=float(raw.get("base_lr", 1e-3)),
-        grid=raw.get("grid"),
-        out_dir=raw.get("out_dir"),
+        **{
+            **raw,
+            "problem_params": dict(problem_params),
+            "optimizer_params": dict(opt_raw),
+            "hidlr": HiDlrConfig(**hidlr_raw),
+        }
     )
 
 

@@ -1,4 +1,4 @@
-"""Training loops for every method, with exact loss-call accounting.
+"""The training loop for every method, with exact loss-call accounting.
 
 A run produces a RunRecord: per-evaluation metric rows, per-refresh probe
 diagnostics, and a summary. Records deliberately do not name the method
@@ -16,22 +16,15 @@ from typing import Optional
 import numpy as np
 
 from ..controller import (
-    HiDlrConfig,
+    LrState,
     RefreshRecord,
     forward_pass_budget,
     hidlr_step,
     initial_lr_state,
 )
-from ..errors import HidlrError, NonFiniteLoss, ValidationError
+from ..errors import HidlrError, ValidationError
 from ..linalg import spawn_rngs
-from ..optim import (
-    OptimizerState,
-    apply_update,
-    default_toy_grid,
-    direction,
-    grid_search,
-    scheduler_lr,
-)
+from ..optim import OptimizerState, default_toy_grid, grid_search, scheduler_lr
 from ..problems import build_problem, group_params
 from ..problems.base import GroupLayout, LossProblem, probe_calls
 from .config import ExperimentConfig
@@ -40,9 +33,9 @@ from .config import ExperimentConfig
 class CountingProblem:
     """Transparent wrapper that counts loss/grad calls by channel.
 
-    Test-set evaluations (one per ``test_metrics`` call that gives metrics,
-    and any loss call made while ``_in_eval`` is set) land in a separate
-    counter so the training-path budget can be audited exactly.
+    Test-set evaluations (one per ``test_metrics`` call that gives metrics)
+    land in a separate counter, so the training-path budget can be audited
+    exactly.
     """
 
     def __init__(self, inner: LossProblem):
@@ -50,16 +43,12 @@ class CountingProblem:
         self.train_loss_calls = 0
         self.eval_loss_calls = 0
         self.grad_calls = 0
-        self._in_eval = False
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
     def loss(self, w, batch=None):
-        if self._in_eval:
-            self.eval_loss_calls += 1
-        else:
-            self.train_loss_calls += 1
+        self.train_loss_calls += 1
         return self.inner.loss(w, batch)
 
     def probe_losses(self, w, d, layout, xi, batch=None):
@@ -86,11 +75,7 @@ class CountingProblem:
 
     def test_metrics(self, w):
         """Count one test-set forward per call that gives metrics."""
-        self._in_eval = True
-        try:
-            metrics = self.inner.test_metrics(w)
-        finally:
-            self._in_eval = False
+        metrics = self.inner.test_metrics(w)
         if metrics is not None:
             self.eval_loss_calls += 1
         return metrics
@@ -226,16 +211,26 @@ def _eval_row(problem, w, t, schedule, epoch_losses, eta, record):
     record.rows.append(row)
 
 
-def _run_hidlr(problem, w, layout, cfg: ExperimentConfig, schedule, record):
-    hcfg = cfg.hidlr
-    lr_state = initial_lr_state(hcfg, layout.k)
+def _train(problem, w, layout, cfg: ExperimentConfig, schedule, record, rate_at=None):
+    """The one training loop: a ``hidlr_step`` per step, audited at the end.
+
+    With ``rate_at`` every group steps at ``rate_at(t)`` and nothing is
+    probed, so the budget is one loss call per step. Without it the
+    controller sets the rates, and the budget is ``forward_pass_budget``
+    less the probe calls that failed refreshes did not make.
+    """
+    hcfg = cfg.hidlr if rate_at is None else None
+    lr_state = initial_lr_state(hcfg, layout.k) if hcfg else None
     opt = OptimizerState.create(cfg.optimizer, problem.dim, **cfg.optimizer_params)
+    total = schedule.total_steps
     epoch_losses = []
     missed = 0  # probe calls that failed refreshes did not make
-    for t in range(schedule.total_steps):
+    for t in range(total):
         batch = schedule.batch(t)
         probe_batch = None
-        if hcfg.fresh_probe_batch and batch is not None and t % hcfg.phi == 0:
+        if hcfg is None:
+            lr_state = LrState(eta=np.full(layout.k, rate_at(t)))
+        elif hcfg.fresh_probe_batch and batch is not None and t % hcfg.phi == 0:
             probe_batch = schedule.fresh_batch()
         res = hidlr_step(
             problem, w, lr_state, opt, hcfg, layout, batch, t, probe_batch
@@ -249,10 +244,15 @@ def _run_hidlr(problem, w, layout, cfg: ExperimentConfig, schedule, record):
             _eval_row(problem, w, t, schedule, epoch_losses, lr_state.eta, record)
             epoch_losses = []
 
-    fresh = int(hcfg.fresh_probe_batch and schedule.n > 0)
-    expected = (
-        forward_pass_budget(schedule.total_steps, layout.k, hcfg.phi, fresh) - missed
-    )
+    if hcfg is None:
+        expected, terms = total, f"T={total}, K={layout.k}, no refreshes"
+    else:
+        fresh = int(hcfg.fresh_probe_batch and schedule.n > 0)
+        expected = forward_pass_budget(total, layout.k, hcfg.phi, fresh) - missed
+        terms = (
+            f"T={total}, K={layout.k}, phi={hcfg.phi}, f={fresh}, "
+            f"{missed} probe calls not made"
+        )
     actual = problem.train_loss_calls
     record.summary["loss_calls"] = {
         "train": actual,
@@ -264,38 +264,9 @@ def _run_hidlr(problem, w, layout, cfg: ExperimentConfig, schedule, record):
     if actual != expected:
         raise HidlrError(
             f"budget audit failed: {actual} training loss calls, "
-            f"expected {expected} (T={schedule.total_steps}, K={layout.k}, "
-            f"phi={hcfg.phi}, f={fresh}, {missed} probe calls not made)"
+            f"expected {expected} ({terms})"
         )
     return w, _clean(lr_state.eta)
-
-
-def _run_scheduled(problem, w, layout, cfg: ExperimentConfig, schedule, record,
-                   kind: str, base_lr: float):
-    opt = OptimizerState.create(cfg.optimizer, problem.dim, **cfg.optimizer_params)
-    epoch_losses = []
-    eta = None
-    for t in range(schedule.total_steps):
-        batch = schedule.batch(t)
-        lr = scheduler_lr(kind, t, schedule.total_steps, base_lr)
-        l0, g = problem.loss_and_grad(w, batch)
-        if not math.isfinite(l0):
-            raise NonFiniteLoss(f"training loss at step {t} is {l0}")
-        d = direction(opt, g, w)
-        eta = np.full(layout.k, lr)
-        w = apply_update(w, layout, eta, d)
-        epoch_losses.append(l0)
-        if schedule.is_eval_point(t):
-            _eval_row(problem, w, t, schedule, epoch_losses, eta, record)
-            epoch_losses = []
-    record.summary["loss_calls"] = {
-        "train": problem.train_loss_calls,
-        "eval": problem.eval_loss_calls,
-        "grad": problem.grad_calls,
-        "expected_train": None,
-        "budget_exact": None,
-    }
-    return w, _clean(eta)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
@@ -324,16 +295,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     }
 
     try:
-        if method == "hidlr":
-            w, eta_final = _run_hidlr(problem, w, layout, cfg, schedule, record)
-        elif method in ("constant", "linear", "cosine"):
-            w, eta_final = _run_scheduled(
-                problem, w, layout, cfg, schedule, record, method, cfg.base_lr
-            )
+        rate_at = None  # the controller sets the rates
+        if method in ("constant", "linear", "cosine"):
+            total = schedule.total_steps
+            rate_at = lambda t: scheduler_lr(method, t, total, cfg.base_lr)
         elif method == "grid":
             grid = list(cfg.grid) if cfg.grid else default_toy_grid()
             best_lr, best_loss = grid_search(
-                problem,
+                problem.inner,  # the candidates' calls are not the training run's
                 cfg.optimizer,
                 grid,
                 schedule.total_steps,
@@ -345,11 +314,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
                 "best_lr": float(best_lr),
                 "best_loss": _clean(best_loss),
             }
-            w, eta_final = _run_scheduled(
-                problem, w, layout, cfg, schedule, record, "constant", best_lr
-            )
-        else:  # pragma: no cover - config validation owns this
+            rate_at = lambda t: best_lr
+        elif method != "hidlr":  # pragma: no cover - config validation owns this
             raise ValidationError(f"unhandled method {method!r}")
+        w, eta_final = _train(problem, w, layout, cfg, schedule, record, rate_at)
     except HidlrError as exc:
         raise type(exc)(
             f"run problem={cfg.problem} seed={cfg.seed}: {exc}"

@@ -8,12 +8,12 @@ optimizer is about to take.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, UnknownStrategy
+from .errors import LengthMismatch, NonFiniteLoss, UnknownStrategy
 from .linalg import make_rng
 from .problems.base import GroupLayout, LossProblem
 
@@ -126,31 +126,6 @@ def default_toy_grid() -> list[float]:
     return [1e-5 * 10 ** (k / 2) for k in range(12)]
 
 
-def _constant_lr_run(
-    problem: LossProblem,
-    optimizer_kind: str,
-    lr: float,
-    iters: int,
-    seed: int,
-    opt_hyper: Optional[dict] = None,
-) -> float:
-    """Final full-batch training loss after `iters` constant-rate steps."""
-    w = problem.init_params(make_rng(seed))
-    state = OptimizerState.create(optimizer_kind, problem.dim, **(opt_hyper or {}))
-    layout = GroupLayout.from_sizes([("all", problem.dim)])
-    lr_vec = np.array([lr])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(iters):
-            g = problem.grad(w)
-            if not np.all(np.isfinite(g)):
-                return np.inf
-            w = apply_update(w, layout, lr_vec, direction(state, g, w))
-            if not np.all(np.isfinite(w)):
-                return np.inf
-        final = problem.loss(w)
-    return final if np.isfinite(final) else np.inf
-
-
 def grid_search(
     problem: LossProblem,
     optimizer_kind: str,
@@ -161,16 +136,30 @@ def grid_search(
 ) -> tuple[float, float]:
     """Best constant uniform rate on `grid` by final training loss.
 
-    Every candidate starts from the same seeded initialization. Diverged
-    runs score +inf; ties break toward the smaller rate, and the result
-    does not depend on the order of `grid`.
+    Every candidate starts from the same seeded initialization and takes
+    `iters` plain full-batch ``hidlr_step`` steps, then scores its
+    full-batch loss. Diverged runs score +inf; ties break toward the
+    smaller rate, and the result does not depend on the order of `grid`.
     """
+    # controller imports this module, so its step is imported at call time
+    from .controller import LrState, hidlr_step
+
     if len(grid) == 0:
         raise LengthMismatch("grid must be nonempty")
+    layout = GroupLayout.from_sizes([("all", problem.dim)])
     best_lr, best_loss = None, np.inf
     for lr in sorted(float(x) for x in grid):
-        loss = _constant_lr_run(problem, optimizer_kind, lr, iters, seed, opt_hyper)
-        if loss < best_loss:
+        w = problem.init_params(make_rng(seed))
+        state = OptimizerState.create(optimizer_kind, problem.dim, **(opt_hyper or {}))
+        rate = LrState(eta=np.array([lr]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for t in range(iters):
+                    w = hidlr_step(problem, w, rate, state, None, layout, None, t).w
+                loss = problem.loss(w)
+            except NonFiniteLoss:
+                loss = np.inf
+        if np.isfinite(loss) and loss < best_loss:
             best_lr, best_loss = lr, loss
     if best_lr is None:  # every candidate diverged; take the smallest rate
         best_lr = min(float(x) for x in grid)

@@ -16,15 +16,10 @@ from .base import (
     split_dataset,
 )
 from .grouping import STRATEGIES, group_params
-from .lora import LoraRegressionProblem, lora_regression_problem
-from .moe import MoeProblem, moe_label_rule, moe_problem
-from .multitask import MultitaskHeadProblem, multitask_head_problem
-from .nam import (
-    NAM_FEATURE_FNS,
-    NamProblem,
-    make_nam_synthetic,
-    nam_problem,
-)
+from .lora import LoraRegressionProblem
+from .moe import MoeProblem, moe_label_rule
+from .multitask import MultitaskHeadProblem
+from .nam import NAM_FEATURE_FNS, NamProblem, make_nam_synthetic
 from .tabular import load_csv_tabular
 from .toy2d import (
     FunctionProblem,
@@ -56,28 +51,15 @@ __all__ = [
     "ellipse_problem",
     "group_params",
     "load_csv_tabular",
-    "lora_regression_problem",
     "make_nam_synthetic",
     "moe_label_rule",
-    "moe_problem",
-    "multitask_head_problem",
-    "nam_problem",
     "NAM_FEATURE_FNS",
     "quadratic_problem",
     "rosenbrock",
     "rosenbrock_grad",
     "sigmoid",
     "split_dataset",
-    "group_params",
 ]
-
-
-def _build_ellipse(rng, **kw):
-    return ellipse_problem()
-
-
-def _build_beale_rosenbrock(rng, **kw):
-    return beale_rosenbrock_problem()
 
 
 def _build_nam_synthetic(rng, hidden_sizes=(32, 32)):
@@ -90,31 +72,19 @@ def _build_california(rng, csv_path, target_column="MedHouseVal", split_seed=0,
     return NamProblem(splits, hidden_sizes=tuple(hidden_sizes))
 
 
-def _build_lora(rng, width=64, rank=4, n_train=1000):
-    return lora_regression_problem(rng, width=width, rank=rank, n_train=n_train)
-
-
-def _build_moe(rng, n_train=1000, n_test=200, flip_fraction=0.10):
-    return moe_problem(rng, n_train=n_train, n_test=n_test, flip_fraction=flip_fraction)
-
-
-def _build_multitask(rng, n_tasks=8, n_train=2048, n_test=512):
-    return multitask_head_problem(rng, n_tasks, n_train=n_train, n_test=n_test)
-
-
-# name -> (builder, parameter names it accepts, parameter names it requires)
+# name -> (builder taking the rng, parameter names it accepts, names it requires)
 _REGISTRY = {
-    "ellipse": (_build_ellipse, set(), set()),
-    "beale-rosenbrock": (_build_beale_rosenbrock, set(), set()),
+    "ellipse": (lambda rng: ellipse_problem(), set(), set()),
+    "beale-rosenbrock": (lambda rng: beale_rosenbrock_problem(), set(), set()),
     "nam-synthetic": (_build_nam_synthetic, {"hidden_sizes"}, set()),
     "california-housing": (
         _build_california,
         {"csv_path", "target_column", "split_seed", "hidden_sizes"},
         {"csv_path"},
     ),
-    "lora-synthetic": (_build_lora, {"width", "rank", "n_train"}, set()),
-    "moe": (_build_moe, {"n_train", "n_test", "flip_fraction"}, set()),
-    "multitask": (_build_multitask, {"n_tasks", "n_train", "n_test"}, set()),
+    "lora-synthetic": (LoraRegressionProblem, {"width", "rank", "n_train"}, set()),
+    "moe": (MoeProblem, {"n_train", "n_test", "flip_fraction"}, set()),
+    "multitask": (MultitaskHeadProblem, {"n_tasks", "n_train", "n_test"}, set()),
 }
 
 PROBLEM_NAMES = tuple(sorted(_REGISTRY))

@@ -119,12 +119,3 @@ def _half_mse(xa: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
     r = xa @ b.T
     r -= y
     return float(0.5 * np.sum(r * r) / xa.shape[0])
-
-
-def lora_regression_problem(
-    rng: np.random.Generator,
-    width: int = 64,
-    rank: int = 4,
-    n_train: int = 1000,
-) -> LoraRegressionProblem:
-    return LoraRegressionProblem(rng, width=width, rank=rank, n_train=n_train)

@@ -157,12 +157,3 @@ class MoeProblem(LossProblem):
             "test_loss": float(np.mean(bce_with_logits(z, y))),
             "test_accuracy": float(np.mean((z > 0) == (y > 0.5))),
         }
-
-
-def moe_problem(
-    rng: np.random.Generator,
-    n_train: int = 1000,
-    n_test: int = 200,
-    flip_fraction: float = 0.10,
-) -> MoeProblem:
-    return MoeProblem(rng, n_train=n_train, n_test=n_test, flip_fraction=flip_fraction)

@@ -28,7 +28,7 @@ class MultitaskHeadProblem(LossProblem):
     def __init__(
         self,
         rng: np.random.Generator,
-        n_tasks: int,
+        n_tasks: int = 8,
         n_train: int = 2048,
         n_test: int = 512,
     ):
@@ -145,12 +145,3 @@ class MultitaskHeadProblem(LossProblem):
             "test_loss": float(np.mean(bce_with_logits(logits, y))),
             "test_accuracy": float(np.mean((logits > 0) == (y > 0.5))),
         }
-
-
-def multitask_head_problem(
-    rng: np.random.Generator,
-    n_tasks: int,
-    n_train: int = 2048,
-    n_test: int = 512,
-) -> MultitaskHeadProblem:
-    return MultitaskHeadProblem(rng, n_tasks, n_train=n_train, n_test=n_test)

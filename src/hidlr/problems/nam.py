@@ -235,11 +235,3 @@ class NamProblem(LossProblem):
     def test_metrics(self, w) -> dict:
         pred = self.predict(w, self.test.features)
         return {"test_loss": float(np.mean((pred - self.test.targets) ** 2))}
-
-
-def nam_problem(
-    dataset: Union[Dataset, tuple[Dataset, Dataset]],
-    hidden_sizes: Sequence[int] = (32, 32),
-    n_features: Optional[int] = None,
-) -> NamProblem:
-    return NamProblem(dataset, hidden_sizes, n_features)

@@ -22,7 +22,7 @@ from hidlr.controller import (
 )
 from hidlr.errors import NonFiniteLoss, SingularFit, ValidationError
 from hidlr.linalg import make_rng, r2_score, solve_least_squares
-from hidlr.optim import OptimizerState
+from hidlr.optim import OptimizerState, apply_update, direction
 from hidlr.problems import GroupLayout, ellipse_problem, quadratic_problem
 from hidlr.problems.toy2d import FunctionProblem
 
@@ -500,6 +500,20 @@ class TestHiDlrStep:
             probe_batch=np.arange(4),
         )
         assert result.loss_calls == 1 + 1 + 8
+
+    def test_no_config_is_a_plain_step(self):
+        problem = ellipse_problem()
+        layout = problem.default_layout
+        eta = np.array([3e-3, 7e-4])
+        w = problem.init_params(make_rng(0))
+        opt = OptimizerState.create("adamw", 2)
+        result = hidlr_step(problem, w, LrState(eta=eta), opt, None, layout, None, t=0)
+        assert result.refresh is None
+        assert result.loss_calls == 1
+        assert result.lr_state.eta is eta
+        fresh = OptimizerState.create("adamw", 2)
+        expected = apply_update(w, layout, eta, direction(fresh, problem.grad(w), w))
+        assert_bit_identical(result.w, expected)
 
 
 class TestForwardPassBudget:

@@ -5,6 +5,7 @@ import pytest
 from hidlr.errors import ParseError, ValidationError
 from hidlr.harness.config import (
     METHODS,
+    ExperimentConfig,
     apply_overrides,
     config_from_dict,
     parse_config,
@@ -24,6 +25,14 @@ class TestDefaults:
         assert cfg.hidlr.r2_threshold == 0.95
         assert cfg.hidlr.eta0 == 1e-3
         assert cfg.epochs is None and cfg.iterations is None
+
+    def test_integer_base_lr_becomes_float(self):
+        assert type(config_from_dict({**MINIMAL, "base_lr": 1}).base_lr) is float
+        assert type(ExperimentConfig(**MINIMAL, base_lr=2).base_lr) is float
+
+    def test_null_grouping_names_is_empty(self):
+        assert config_from_dict({**MINIMAL, "grouping_names": None}).grouping_names == ()
+        assert ExperimentConfig(**MINIMAL, grouping_names=None).grouping_names == ()
 
     def test_method_list(self):
         assert METHODS == ("hidlr", "hiulr", "constant", "linear", "cosine", "grid")
@@ -51,6 +60,21 @@ class TestStrictKeys:
 
     def test_typo_inside_hidlr_section_names_path(self):
         with pytest.raises(ParseError, match=r"hidlr\.fi"):
+            config_from_dict({**MINIMAL, "hidlr": {"fi": 2}})
+
+    def test_allowed_keys_are_the_schema(self):
+        top = (
+            "base_lr, batch_size, epochs, grid, grouping, grouping_names, hidlr, "
+            "iterations, method, optimizer, optimizer_params, out_dir, problem, "
+            "problem_params, seed"
+        )
+        with pytest.raises(ParseError, match=f"allowed: {top}$"):
+            config_from_dict({**MINIMAL, "lerning_rate": 0.1})
+        hidlr = (
+            "eta0, eta_max, eta_min, fresh_probe_batch, gamma, gating, phi, "
+            "probe_floor, r2_threshold"
+        )
+        with pytest.raises(ParseError, match=f"allowed: {hidlr}$"):
             config_from_dict({**MINIMAL, "hidlr": {"fi": 2}})
 
     def test_typo_inside_optimizer_params(self):

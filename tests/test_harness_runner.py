@@ -11,7 +11,7 @@ from hidlr.controller import (
     build_probe_matrix,
     fit_diag_quadratic,
 )
-from hidlr.errors import NonFiniteLoss, ValidationError
+from hidlr.errors import HidlrError, NonFiniteLoss, ValidationError
 from hidlr.harness import runner
 from hidlr.harness.config import ExperimentConfig, parse_config
 from hidlr.harness.runner import (
@@ -59,13 +59,6 @@ class TestCountingProblem:
         problem = CountingProblem(ellipse_problem())
         assert problem.dim == 2
         assert problem.default_layout.names == ("x", "y")
-
-    def test_eval_channel_separate(self):
-        problem = CountingProblem(ellipse_problem())
-        problem._in_eval = True
-        problem.loss(np.zeros(2))
-        assert problem.eval_loss_calls == 1
-        assert problem.train_loss_calls == 0
 
 
 class TestSchedule:
@@ -215,6 +208,31 @@ class TestRunExperiment:
         assert calls["train"] == calls["expected_train"] == 3 + 4 * 3 - 3
         assert calls["budget_exact"] is True
 
+    @pytest.mark.parametrize("method", ["constant", "linear", "cosine", "grid"])
+    def test_baselines_audited_exactly(self, method):
+        record = run_experiment(ellipse_cfg(method=method, iterations=30))
+        calls = record.summary["loss_calls"]
+        assert calls["train"] == calls["expected_train"] == 30
+        assert calls["budget_exact"] is True
+        assert record.probes == []
+
+    def test_grid_candidates_not_counted(self):
+        record = run_experiment(ellipse_cfg(method="grid", iterations=60))
+        assert record.rows[-1]["loss_calls"] == 60
+        assert record.summary["loss_calls"]["grad"] == 60
+
+    def test_baseline_audit_fails_on_extra_call(self, monkeypatch):
+        counted = CountingProblem.loss_and_grad
+
+        def one_extra(self, w, batch=None):
+            self.loss(w, batch)
+            return counted(self, w, batch)
+
+        monkeypatch.setattr(CountingProblem, "loss_and_grad", one_extra)
+        cfg = ellipse_cfg(method="constant", iterations=5)
+        with pytest.raises(HidlrError, match="budget audit failed: 10 .* expected 5"):
+            run_experiment(cfg)
+
     def test_diverging_baseline_raises(self):
         cfg = ExperimentConfig(
             problem="nam-synthetic",
@@ -273,7 +291,7 @@ class TestRunExperiment:
         first, last = record.rows[0]["eta"][0], record.rows[-1]["eta"][0]
         assert last < first
         assert record.summary["loss_calls"]["train"] == 50
-        assert record.summary["loss_calls"]["budget_exact"] is None
+        assert record.summary["loss_calls"]["budget_exact"] is True
 
     def test_grid_method_reports_search(self):
         record = run_experiment(ellipse_cfg(method="grid", iterations=30))

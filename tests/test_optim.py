@@ -16,7 +16,13 @@ from hidlr.optim import (
     grid_search,
     scheduler_lr,
 )
-from hidlr.problems import GroupLayout, ellipse_problem, quadratic_problem
+from hidlr.problems import (
+    GroupLayout,
+    beale_rosenbrock_problem,
+    build_problem,
+    ellipse_problem,
+    quadratic_problem,
+)
 
 
 class TestDirection:
@@ -154,6 +160,35 @@ class TestSchedulers:
         assert 0.0 <= lr <= 0.7
 
 
+def constant_lr_run(problem, optimizer_kind, lr, iters, seed, opt_hyper=None):
+    """The grid's candidate run as a separate loop: gradient-only steps."""
+    w = problem.init_params(make_rng(seed))
+    state = OptimizerState.create(optimizer_kind, problem.dim, **(opt_hyper or {}))
+    layout = GroupLayout.from_sizes([("all", problem.dim)])
+    lr_vec = np.array([lr])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iters):
+            g = problem.grad(w)
+            if not np.all(np.isfinite(g)):
+                return np.inf
+            w = apply_update(w, layout, lr_vec, direction(state, g, w))
+            if not np.all(np.isfinite(w)):
+                return np.inf
+        final = problem.loss(w)
+    return final if np.isfinite(final) else np.inf
+
+
+def loop_grid_search(problem, optimizer_kind, grid, iters, seed=0, opt_hyper=None):
+    best_lr, best_loss = None, np.inf
+    for lr in sorted(float(x) for x in grid):
+        loss = constant_lr_run(problem, optimizer_kind, lr, iters, seed, opt_hyper)
+        if loss < best_loss:
+            best_lr, best_loss = lr, loss
+    if best_lr is None:
+        best_lr = min(float(x) for x in grid)
+    return best_lr, best_loss
+
+
 class TestGridSearch:
     def test_default_grid_values(self):
         grid = default_toy_grid()
@@ -193,3 +228,24 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(LengthMismatch):
             grid_search(ellipse_problem(), "sgd", [], iters=5)
+
+    @pytest.mark.parametrize(
+        "make, kind, grid, iters",
+        [
+            (ellipse_problem, "sgd", default_toy_grid(), 60),
+            (beale_rosenbrock_problem, "sgd", default_toy_grid(), 100),
+            (ellipse_problem, "sgd", [5e-3, 0.02, 0.5, 3.0, 50.0, 1e3], 40),
+            (
+                lambda: build_problem("lora-synthetic", make_rng(0)),
+                "adamw",
+                [1e-4, 1e-3, 1e-2, 1e-1],
+                30,
+            ),
+        ],
+        ids=["ellipse", "beale-rosenbrock", "diverging", "lora-adamw"],
+    )
+    def test_matches_gradient_only_loop(self, make, kind, grid, iters):
+        expected = loop_grid_search(make(), kind, grid, iters, seed=3)
+        got = grid_search(make(), kind, grid, iters, seed=3)
+        assert got[0] == expected[0]
+        assert np.asarray(got[1]).tobytes() == np.asarray(expected[1]).tobytes()

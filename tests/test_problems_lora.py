@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from hidlr.linalg import make_rng
-from hidlr.problems import lora_regression_problem
+from hidlr.problems import LoraRegressionProblem
 
 
 @pytest.fixture(scope="module")
 def problem():
-    return lora_regression_problem(make_rng(0), width=32, rank=3, n_train=200)
+    return LoraRegressionProblem(make_rng(0), width=32, rank=3, n_train=200)
 
 
 class TestLora:
@@ -42,9 +42,9 @@ class TestLora:
 
     def test_rank_bounds_enforced(self):
         with pytest.raises(ValueError):
-            lora_regression_problem(make_rng(0), width=8, rank=9)
+            LoraRegressionProblem(make_rng(0), width=8, rank=9)
         with pytest.raises(ValueError):
-            lora_regression_problem(make_rng(0), width=8, rank=0)
+            LoraRegressionProblem(make_rng(0), width=8, rank=0)
 
     def test_loss_decreases_along_negative_gradient(self, problem):
         rng = make_rng(4)
@@ -56,8 +56,8 @@ class TestLora:
         assert problem.loss(w - 1e-4 * g, batch) < l0
 
     def test_same_seed_same_teacher(self):
-        p1 = lora_regression_problem(make_rng(7), width=16, rank=2, n_train=50)
-        p2 = lora_regression_problem(make_rng(7), width=16, rank=2, n_train=50)
+        p1 = LoraRegressionProblem(make_rng(7), width=16, rank=2, n_train=50)
+        p2 = LoraRegressionProblem(make_rng(7), width=16, rank=2, n_train=50)
         assert p1.teacher.tobytes() == p2.teacher.tobytes()
         assert p1.train.features.tobytes() == p2.train.features.tobytes()
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from hidlr.linalg import make_rng
-from hidlr.problems import moe_label_rule, moe_problem
+from hidlr.problems import MoeProblem, moe_label_rule
 from hidlr.problems.moe import EXPERT_HIDDEN, GATE_HIDDEN, N_EXPERTS
 
 
 @pytest.fixture(scope="module")
 def problem():
-    return moe_problem(make_rng(0))
+    return MoeProblem(make_rng(0))
 
 
 class TestLabelRule:

@@ -5,13 +5,13 @@ import pytest
 
 from hidlr.errors import ValidationError
 from hidlr.linalg import make_rng
-from hidlr.problems import multitask_head_problem
+from hidlr.problems import MultitaskHeadProblem
 from hidlr.problems.multitask import FEATURE_DIM, NOISE_MAX, NOISE_MIN
 
 
 @pytest.fixture(scope="module")
 def problem():
-    return multitask_head_problem(make_rng(0), n_tasks=8, n_train=512, n_test=128)
+    return MultitaskHeadProblem(make_rng(0), n_tasks=8, n_train=512, n_test=128)
 
 
 class TestMultitask:
@@ -22,7 +22,7 @@ class TestMultitask:
         assert lay.names == tuple(f"task{k}" for k in range(8))
 
     def test_forty_task_configuration(self):
-        p = multitask_head_problem(make_rng(1), n_tasks=40, n_train=64, n_test=32)
+        p = MultitaskHeadProblem(make_rng(1), n_tasks=40, n_train=64, n_test=32)
         assert p.default_layout.k == 40
         assert p.dim == 40 * 512
 
@@ -39,7 +39,7 @@ class TestMultitask:
 
     def test_too_few_tasks_rejected(self):
         with pytest.raises(ValidationError):
-            multitask_head_problem(make_rng(0), n_tasks=1)
+            MultitaskHeadProblem(make_rng(0), n_tasks=1)
 
     def test_grad_matches_fd_spot_check(self, problem):
         rng = make_rng(2)

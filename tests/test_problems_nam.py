@@ -5,7 +5,7 @@ import pytest
 
 from hidlr.errors import DimensionMismatch
 from hidlr.linalg import make_rng
-from hidlr.problems import NAM_FEATURE_FNS, make_nam_synthetic, nam_problem
+from hidlr.problems import NAM_FEATURE_FNS, NamProblem, make_nam_synthetic
 from hidlr.problems.nam import NAM_N_FEATURES, NAM_N_ROWS
 
 
@@ -45,7 +45,7 @@ class TestSyntheticDataset:
 
 @pytest.fixture(scope="module")
 def problem():
-    return nam_problem(make_nam_synthetic(make_rng(3)))
+    return NamProblem(make_nam_synthetic(make_rng(3)))
 
 
 class TestNamProblem:
@@ -99,12 +99,12 @@ class TestNamProblem:
     def test_feature_count_mismatch_rejected(self):
         ds = make_nam_synthetic(make_rng(0))
         with pytest.raises(DimensionMismatch):
-            nam_problem(ds, n_features=7)
+            NamProblem(ds, n_features=7)
 
     def test_empty_hidden_sizes_rejected(self):
         ds = make_nam_synthetic(make_rng(0))
         with pytest.raises(DimensionMismatch):
-            nam_problem(ds, hidden_sizes=())
+            NamProblem(ds, hidden_sizes=())
 
     def test_test_metrics_reports_mse(self, problem):
         w = np.zeros(problem.dim)

@@ -5,6 +5,7 @@ import pytest
 
 from hidlr.errors import ValidationError
 from hidlr.linalg import make_rng
+import hidlr.problems
 from hidlr.problems import PROBLEM_NAMES, LossProblem, build_problem
 
 
@@ -31,6 +32,28 @@ class TestRegistry:
     def test_missing_required_parameter(self):
         with pytest.raises(ValidationError, match="csv_path"):
             build_problem("california-housing", make_rng(0))
+
+    def test_multitask_defaults_to_eight_tasks(self):
+        problem = build_problem("multitask", make_rng(0))
+        assert problem.n_tasks == 8
+        assert problem.default_layout.k == 8
+
+    def test_accepted_parameters_stay_explicit(self):
+        # the constructor takes n_test, the registry entry does not
+        with pytest.raises(ValidationError, match="n_test"):
+            build_problem("lora-synthetic", make_rng(0), {"n_test": 5})
+
+    def test_exports_have_no_duplicates_or_wrappers(self):
+        exported = hidlr.problems.__all__
+        assert len(exported) == len(set(exported))
+        wrappers = {
+            "nam_problem",
+            "moe_problem",
+            "lora_regression_problem",
+            "multitask_head_problem",
+        }
+        assert not wrappers & set(exported)
+        assert not any(hasattr(hidlr.problems, name) for name in wrappers)
 
     def test_parameters_forwarded(self):
         problem = build_problem(
