@@ -65,11 +65,19 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and (not isinstance(value, int) or value < 1):
                 raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-        self.base_lr = float(self.base_lr)
+        try:
+            self.base_lr = float(self.base_lr)
+        except (TypeError, ValueError):
+            raise ValidationError(f"base_lr must be a number, got {self.base_lr!r}") from None
         if not self.base_lr > 0:
             raise ValidationError(f"base_lr must be positive, got {self.base_lr}")
         if self.grid is not None:
-            self.grid = tuple(float(x) for x in self.grid)
+            try:
+                self.grid = tuple(float(x) for x in self.grid)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"grid must be a list of rates, got {self.grid!r}"
+                ) from None
             if not self.grid or any(x <= 0 for x in self.grid):
                 raise ValidationError("grid must be a nonempty list of positive rates")
         self.grouping_names = tuple(self.grouping_names or ())

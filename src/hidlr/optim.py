@@ -79,14 +79,22 @@ def direction(state: OptimizerState, g: np.ndarray, w: np.ndarray) -> np.ndarray
     if state.kind == "momentum":
         state.m = state.mu * state.m + g
         return state.m.copy()
-    # adamw
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    d = m_hat / (np.sqrt(v_hat) + state.eps)
+    # adamw: m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, updated in
+    # place with one temporary, then d = m_hat / (sqrt(v_hat) + eps)
+    tmp = (1.0 - state.beta1) * g
+    state.m *= state.beta1
+    state.m += tmp
+    np.multiply(1.0 - state.beta2, g, out=tmp)
+    tmp *= g
+    state.v *= state.beta2
+    state.v += tmp
+    d = state.v / (1.0 - state.beta2**state.t)  # v_hat
+    np.sqrt(d, out=d)
+    d += state.eps
+    np.divide(state.m, 1.0 - state.beta1**state.t, out=tmp)  # m_hat
+    np.divide(tmp, d, out=d)
     if state.decay_in_direction and state.weight_decay != 0.0:
-        d = d + state.weight_decay * w
+        d += state.weight_decay * w
     return d
 
 

@@ -224,12 +224,14 @@ def probe_calls(losses: np.ndarray) -> int:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+    """Logistic function, stable in both tails: ``exp`` only sees -|z|.
+
+    ``where`` keeps a NaN's sign where ``-abs`` would flip it, so the result
+    is bit-equal to 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)).
+    """
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 def bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:

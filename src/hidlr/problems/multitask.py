@@ -42,11 +42,9 @@ class MultitaskHeadProblem(LossProblem):
         self._label_dirs = rng.standard_normal((FEATURE_DIM, n_tasks)) / np.sqrt(
             FEATURE_DIM
         )
-        self.train = self._make_split(rng, n_train, "train")
-        self.test = self._make_split(rng, n_test, "test")
         # the feature map is frozen, so activations never change across steps
-        self._z_train = self.features(self.train.features)
-        self._z_test = self.features(self.test.features)
+        self.train, self._z_train = self._make_split(rng, n_train, "train")
+        self.test, self._z_test = self._make_split(rng, n_test, "test")
 
         self.dim = FEATURE_DIM * n_tasks
         self.default_layout = GroupLayout.from_sizes(
@@ -54,13 +52,16 @@ class MultitaskHeadProblem(LossProblem):
         )
         self.name = "multitask"
 
-    def _make_split(self, rng: np.random.Generator, n: int, split: str) -> Dataset:
+    def _make_split(
+        self, rng: np.random.Generator, n: int, split: str
+    ) -> tuple[Dataset, np.ndarray]:
+        """(Dataset, its feature rows ``z``) for ``n`` fresh labelled rows."""
         x = rng.standard_normal((n, INPUT_DIM))
         z = self.features(x)
         score = z @ self._label_dirs  # (n, K)
         noise = rng.standard_normal(score.shape) * self.noise_scales[None, :]
         y = (score + noise > 0).astype(np.float64)
-        return Dataset(x, y, split=split)
+        return Dataset(x, y, split=split), z
 
     def features(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x @ self._fmap)

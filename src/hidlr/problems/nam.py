@@ -8,6 +8,7 @@ batched matmuls instead of a Python loop over features.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -32,6 +33,8 @@ NAM_INPUT_RANGE = (-2.5, 2.5)
 
 
 NAM_NOISE_STD = 5.0
+# Rows per forward when predicting, and the most rows a call keeps workspace for.
+EVAL_ROWS = 256
 
 
 def make_nam_synthetic(rng: np.random.Generator) -> Dataset:
@@ -91,6 +94,10 @@ class NamProblem(LossProblem):
             [("bias", 1)] + [(f"f{k + 1}", cursor) for k in range(d)]
         )
         self.name = "nam"
+        # Reused activation workspace: one slot per layer output plus the
+        # output layer's delta, the ReLU mask and the probes' outputs.
+        self._slots = tuple(f"a{i}" for i in range(len(self._layer_spec)))
+        self._buffers = {}
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         w = np.zeros(self.dim)
@@ -115,19 +122,43 @@ class NamProblem(LossProblem):
     def _unpack(self, w: np.ndarray):
         return w[0], self._layers(w[1:].reshape(self.n_features, self.per_subnet))
 
-    def _subnets(self, a: np.ndarray, layers) -> list:
-        # Item-major activations (N, B, width) so each layer is one batched
-        # matmul; ``a`` is (N, B, 1), or (1, B, 1) to feed one input to all N.
-        # The fan-in-1 first layer is cheaper as a broadcast than a rank-1 gemm.
-        # ReLU is applied in place and post-activations are kept: they double as
-        # the backward mask (max(z, 0) > 0 iff z > 0) and as the layer inputs.
+    def _buffer(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        """Workspace slot ``name`` as a contiguous view of ``shape`` (N, rows, width).
+
+        A slot grows to the largest shape asked of it and is reused by every
+        later call. Above ``EVAL_ROWS`` rows the view is a fresh array, so a
+        full-batch call leaves no large buffer behind. Callers write every
+        element before reading it and return nothing that aliases a slot.
+        """
+        if shape[1] > EVAL_ROWS:
+            return np.empty(shape, dtype)
+        size = math.prod(shape)
+        flat = self._buffers.get(name)
+        if flat is None or flat.size < size:
+            flat = self._buffers[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+    def _subnets(self, a: np.ndarray, layers, names: Sequence[str]) -> list:
+        """Post-activations of N stacked sub-networks, layer i in slot ``names[i]``.
+
+        Item-major activations (N, B, width) so each layer is one batched
+        matmul; ``a`` is (N, B, 1), or (1, B, 1) to feed one input to all N.
+        The fan-in-1 first layer is a rank-1 product, written by ``einsum``
+        without a broadcast temporary. ReLU is applied in place and
+        post-activations are kept: they double as the backward mask
+        (max(z, 0) > 0 iff z > 0) and as the layer inputs.
+        """
+        n, rows = layers[0][0].shape[0], a.shape[1]
         acts = []
         last = len(layers) - 1
         for i, (weight, bias) in enumerate(layers):
-            if weight.shape[1] == 1:
-                z = a * weight[:, 0][:, None, :]
+            z = self._buffer(names[i], (n, rows, weight.shape[2]))
+            if weight.shape[1] != 1:
+                np.matmul(a, weight, out=z)
+            elif a.shape[0] == n:
+                np.einsum("nbi,nih->nbh", a, weight, out=z)
             else:
-                z = np.matmul(a, weight)
+                np.einsum("bi,nih->nbh", a[0], weight, out=z)
             z += bias[:, None, :]
             if i < last:
                 np.maximum(z, 0.0, out=z)
@@ -137,18 +168,26 @@ class NamProblem(LossProblem):
 
     def _forward(self, w: np.ndarray, x: np.ndarray):
         beta, layers = self._unpack(w)
-        acts = self._subnets(np.ascontiguousarray(x.T)[:, :, None], layers)
+        acts = self._subnets(np.ascontiguousarray(x.T)[:, :, None], layers, self._slots)
         pred = beta + acts[-1][:, :, 0].sum(axis=0)
         return pred, acts
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._forward(self.check_w(w), x)[0]
+        """Predictions for the rows of ``x``, computed ``EVAL_ROWS`` rows at a time."""
+        w = self.check_w(w)
+        n = x.shape[0]
+        bounds = [*range(0, n, EVAL_ROWS), n]
+        if len(bounds) > 2 and n - bounds[-2] == 1:
+            # numpy multiplies a one-row chunk by gemv, whose bits differ from gemm's
+            del bounds[-2]
+        pred = np.empty(n)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            pred[lo:hi] = self._forward(w, x[lo:hi])[0]
+        return pred
 
     def loss(self, w, batch=None) -> float:
-        w = self.check_w(w)
         x, y = self.resolve_batch(batch)
-        pred, _ = self._forward(w, x)
-        return float(np.mean((pred - y) ** 2))
+        return float(np.mean((self.predict(w, x) - y) ** 2))
 
     def grad(self, w, batch=None) -> np.ndarray:
         return self.loss_and_grad(w, batch)[1]
@@ -168,26 +207,40 @@ class NamProblem(LossProblem):
         g[0] = dpred.sum()
         # Output of subnet k enters the prediction with unit weight.
         da = np.broadcast_to(dpred[None, :, None], acts[-1].shape)  # (K, B, 1)
-        for i in range(len(layers) - 1, -1, -1):
+        last = len(layers) - 1
+        for i in range(last, -1, -1):
             weight, _ = layers[i]
-            if i == len(layers) - 1:
+            off, fan_in, fan_out = self._layer_spec[i]
+            n_w = fan_in * fan_out
+            if i == last:
                 dz = da
             else:
-                dz = np.multiply(da, acts[i] > 0, out=da if da.flags.writeable else None)
+                mask = np.greater(acts[i], 0.0, out=self._buffer("mask", acts[i].shape, bool))
+                dz = np.multiply(da, mask, out=da)
             a_in = (
                 np.ascontiguousarray(x.T)[:, :, None]
                 if i == 0
                 else acts[i - 1]
             )
-            off, fan_in, fan_out = self._layer_spec[i]
-            n_w = fan_in * fan_out
             gw = np.matmul(a_in.transpose(0, 2, 1), dz)  # (K, in, out)
             gs[:, off : off + n_w] = gw.reshape(self.n_features, n_w)
-            gs[:, off + n_w : off + n_w + fan_out] = dz.sum(axis=1)
+            gb = gs[:, off + n_w : off + n_w + fan_out]
+            if fan_out == 1:
+                # sum adds one column pairwise, where einsum would add in sequence
+                gb[...] = dz.sum(axis=1)
+            else:
+                np.einsum("kbh->kh", dz, out=gb)
             if i > 0:
-                # a fan-out-1 layer's product is an outer one, cheaper as a broadcast
+                # the output layer's delta has its own slot; a hidden layer's
+                # overwrites its own activations, no longer needed past the mask
+                slot = self._buffer(
+                    "delta" if i == last else self._slots[i], (*dz.shape[:2], fan_in)
+                )
                 wt = weight.transpose(0, 2, 1)
-                da = dz * wt if fan_out == 1 else np.matmul(dz, wt)
+                if fan_out == 1:
+                    da = np.einsum("kbi,kih->kbh", dz, wt, out=slot)
+                else:
+                    da = np.matmul(dz, np.ascontiguousarray(wt), out=slot)
         return loss, g
 
     def probe_losses(self, w, d, layout, xi, batch=None) -> np.ndarray:
@@ -214,22 +267,26 @@ class NamProblem(LossProblem):
         x, y = self.resolve_batch(batch)
         inputs = np.ascontiguousarray(x.T)[:, :, None]  # (K, B, 1)
         beta, layers = self._unpack(w)
-        outs = self._subnets(inputs, layers)[-1][:, :, 0]  # (K, B)
+        outs = self._subnets(inputs, layers, self._slots)[-1][:, :, 0]  # (K, B)
         out = np.empty(xi.shape)
         total = outs.sum(axis=0)
         anchor = float(np.mean((beta + total - y) ** 2))  # as ``loss`` computes it
-        for i, scale in enumerate(xi[0]):
-            out[0, i] = np.mean((w[0] - scale * d[0] + total - y) ** 2)
+        out[0] = np.mean((w[0] - xi[0][:, None] * d[0] + total - y) ** 2, axis=1)
         s = w[1:].reshape(self.n_features, self.per_subnet)
         ds = d[1:].reshape(self.n_features, self.per_subnet)
-        mixed = outs.copy()
+        # The probes rerun the hidden slots but keep the base outputs ``outs``.
+        probe_slots = (*self._slots[:-1], "probe_out")
+        prefix = None  # outs[0] + ... + outs[k - 1]
         for k in range(self.n_features):
             moved = s[k] - xi[k + 1][:, None] * ds[k]  # (4, per_subnet)
-            probed = self._subnets(inputs[k : k + 1], self._layers(moved))[-1]
-            for i in range(xi.shape[1]):
-                mixed[k] = probed[i, :, 0]
-                out[k + 1, i] = np.mean((beta + mixed.sum(axis=0) - y) ** 2)
-            mixed[k] = outs[k]
+            acc = self._subnets(inputs[k : k + 1], self._layers(moved), probe_slots)[-1][:, :, 0]
+            # the sum in ``loss``'s order: outputs before k, probed k, outputs after k
+            if prefix is not None:
+                acc += prefix
+            for j in range(k + 1, self.n_features):
+                acc += outs[j]
+            out[k + 1] = np.mean((beta + acc - y) ** 2, axis=1)
+            prefix = outs[k] if prefix is None else prefix + outs[k]
         return anchor, out
 
     def test_metrics(self, w) -> dict:

@@ -96,6 +96,15 @@ class TestRunCommand:
         assert main(["run", str(ellipse_yaml), "--override", "hidlr.gamma=2"]) == 1
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [(["base_lr=null"], "base_lr"), (["method=grid", "grid=0.1"], "grid")],
+    )
+    def test_wrong_type_override_exits_1(self, ellipse_yaml, capsys, overrides, key):
+        args = [arg for item in overrides for arg in ("--override", item)]
+        assert main(["run", str(ellipse_yaml), *args]) == 1
+        assert key in capsys.readouterr().err
+
     def test_diverging_baseline_exits_2(self, repo_root, tmp_path, capsys):
         config = repo_root / "configs" / "nam-synthetic.yaml"
         args = ["--override", "method=constant", "--override", "base_lr=0.02"]

@@ -119,6 +119,20 @@ class TestValueValidation:
         with pytest.raises(ValidationError, match="grid"):
             config_from_dict({**MINIMAL, "grid": [1e-3, 0.0]})
 
+    def test_null_base_lr_is_a_validation_error(self):
+        raw = apply_overrides(dict(MINIMAL), ["base_lr=null"])
+        with pytest.raises(ValidationError, match="base_lr"):
+            config_from_dict(raw)
+        with pytest.raises(ValidationError, match="base_lr"):
+            config_from_dict({**MINIMAL, "base_lr": "fast"})
+
+    def test_scalar_grid_is_a_validation_error(self):
+        raw = apply_overrides({**MINIMAL, "method": "grid"}, ["grid=0.1"])
+        with pytest.raises(ValidationError, match="grid"):
+            config_from_dict(raw)
+        with pytest.raises(ValidationError, match="grid"):
+            ExperimentConfig(**MINIMAL, grid=[1e-3, None])
+
     def test_bad_hidlr_value_propagates(self):
         with pytest.raises(ValidationError, match="gamma"):
             config_from_dict({**MINIMAL, "hidlr": {"gamma": 1.5}})

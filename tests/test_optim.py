@@ -59,6 +59,28 @@ class TestDirection:
         )
         assert np.allclose(decayed - plain, 0.01 * w)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adamw_in_place_matches_out_of_place_reference(self, weight_decay):
+        # the moments used to be rebuilt each step; in place, the bits stay
+        hyper = {"beta1": 0.8, "beta2": 0.99, "weight_decay": weight_decay}
+        state = OptimizerState.create("adamw", 64, **hyper)
+        ref = OptimizerState.create("adamw", 64, **hyper)
+        rng = make_rng(0)
+        for t in range(1, 21):
+            g = rng.standard_normal(64) * 10.0 ** rng.uniform(-6, 2, 64)
+            w = rng.standard_normal(64)
+            d = direction(state, g, w)
+            ref.m = ref.beta1 * ref.m + (1.0 - ref.beta1) * g
+            ref.v = ref.beta2 * ref.v + (1.0 - ref.beta2) * g * g
+            m_hat = ref.m / (1.0 - ref.beta1**t)
+            v_hat = ref.v / (1.0 - ref.beta2**t)
+            expected = m_hat / (np.sqrt(v_hat) + ref.eps)
+            if weight_decay:
+                expected = expected + weight_decay * w
+            assert d.tobytes() == expected.tobytes()
+            assert state.m.tobytes() == ref.m.tobytes()
+            assert state.v.tobytes() == ref.v.tobytes()
+
     def test_step_counter_increments(self):
         state = OptimizerState.create("adamw", 1)
         for expected in (1, 2, 3):

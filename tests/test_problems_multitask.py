@@ -5,7 +5,7 @@ import pytest
 
 from hidlr.errors import ValidationError
 from hidlr.linalg import make_rng
-from hidlr.problems import MultitaskHeadProblem
+from hidlr.problems import MultitaskHeadProblem, sigmoid
 from hidlr.problems.multitask import FEATURE_DIM, NOISE_MAX, NOISE_MIN
 
 
@@ -14,12 +14,35 @@ def problem():
     return MultitaskHeadProblem(make_rng(0), n_tasks=8, n_train=512, n_test=128)
 
 
+def masked_sigmoid(z):
+    """The boolean-indexed sigmoid that ``sigmoid`` replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bit_equal_to_masked_version():
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 745.0, -745.0, 800.0]
+    z = np.concatenate([edges, make_rng(0).standard_normal(4096) * 30.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+        z2 = z[:4096].reshape(64, 64)
+        assert sigmoid(z2).tobytes() == masked_sigmoid(z2).tobytes()
+
+
 class TestMultitask:
     def test_layout_one_group_per_task(self, problem):
         lay = problem.default_layout
         assert lay.k == 8
         assert lay.lengths == (FEATURE_DIM,) * 8
         assert lay.names == tuple(f"task{k}" for k in range(8))
+
+    def test_cached_features_are_the_feature_map(self, problem):
+        for z, split in ((problem._z_train, problem.train), (problem._z_test, problem.test)):
+            assert z.tobytes() == problem.features(split.features).tobytes()
 
     def test_forty_task_configuration(self):
         p = MultitaskHeadProblem(make_rng(1), n_tasks=40, n_train=64, n_test=32)

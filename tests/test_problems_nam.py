@@ -5,8 +5,10 @@ import pytest
 
 from hidlr.errors import DimensionMismatch
 from hidlr.linalg import make_rng
-from hidlr.problems import NAM_FEATURE_FNS, NamProblem, make_nam_synthetic
+from hidlr.problems import NAM_FEATURE_FNS, NamProblem, build_problem, make_nam_synthetic
 from hidlr.problems.nam import NAM_N_FEATURES, NAM_N_ROWS
+
+from conftest import REPO_ROOT
 
 
 class TestSyntheticDataset:
@@ -111,3 +113,190 @@ class TestNamProblem:
         metrics = problem.test_metrics(w)
         expected = float(np.mean(problem.test.targets**2))
         assert metrics["test_loss"] == pytest.approx(expected, rel=1e-12)
+
+
+# --- Reused activation workspace -------------------------------------------
+#
+# The reference below is the broadcast forward and backward the workspace
+# replaced: fresh arrays for every layer, the rank-1 layers as broadcasts and
+# every batch sum as ``sum``. The workspace must give the same bits.
+
+
+def ref_subnets(a, layers):
+    acts = []
+    last = len(layers) - 1
+    for i, (weight, bias) in enumerate(layers):
+        if weight.shape[1] == 1:
+            z = a * weight[:, 0][:, None, :]
+        else:
+            z = np.matmul(a, weight)
+        z += bias[:, None, :]
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+        a = z
+    return acts
+
+
+def ref_forward(problem, w, x):
+    beta, layers = problem._unpack(w)
+    acts = ref_subnets(np.ascontiguousarray(x.T)[:, :, None], layers)
+    return beta + acts[-1][:, :, 0].sum(axis=0), acts
+
+
+def ref_loss_and_grad(problem, w, batch):
+    x, y = problem.resolve_batch(batch)
+    pred, acts = ref_forward(problem, w, x)
+    _, layers = problem._unpack(w)
+    residual = pred - y
+    g = np.zeros(problem.dim)
+    gs = g[1:].reshape(problem.n_features, problem.per_subnet)
+    dpred = 2.0 * residual / y.shape[0]
+    g[0] = dpred.sum()
+    da = np.broadcast_to(dpred[None, :, None], acts[-1].shape)
+    for i in range(len(layers) - 1, -1, -1):
+        weight, _ = layers[i]
+        dz = da if i == len(layers) - 1 else da * (acts[i] > 0)
+        a_in = np.ascontiguousarray(x.T)[:, :, None] if i == 0 else acts[i - 1]
+        off, fan_in, fan_out = problem._layer_spec[i]
+        n_w = fan_in * fan_out
+        gw = np.matmul(a_in.transpose(0, 2, 1), dz)
+        gs[:, off : off + n_w] = gw.reshape(problem.n_features, n_w)
+        gs[:, off + n_w : off + n_w + fan_out] = dz.sum(axis=1)
+        if i > 0:
+            wt = weight.transpose(0, 2, 1)
+            da = dz * wt if fan_out == 1 else np.matmul(dz, wt)
+    return float(np.mean(residual**2)), g
+
+
+def ref_anchored_probes(problem, w, d, xi, batch):
+    x, y = problem.resolve_batch(batch)
+    inputs = np.ascontiguousarray(x.T)[:, :, None]
+    beta, layers = problem._unpack(w)
+    outs = ref_subnets(inputs, layers)[-1][:, :, 0]
+    out = np.empty(xi.shape)
+    total = outs.sum(axis=0)
+    anchor = float(np.mean((beta + total - y) ** 2))
+    for i, scale in enumerate(xi[0]):
+        out[0, i] = np.mean((w[0] - scale * d[0] + total - y) ** 2)
+    s = w[1:].reshape(problem.n_features, problem.per_subnet)
+    ds = d[1:].reshape(problem.n_features, problem.per_subnet)
+    mixed = outs.copy()
+    for k in range(problem.n_features):
+        moved = s[k] - xi[k + 1][:, None] * ds[k]
+        probed = ref_subnets(inputs[k : k + 1], problem._layers(moved))[-1]
+        for i in range(xi.shape[1]):
+            mixed[k] = probed[i, :, 0]
+            out[k + 1, i] = np.mean((beta + mixed.sum(axis=0) - y) ** 2)
+        mixed[k] = outs[k]
+    return anchor, out
+
+
+def _housing():
+    csv = REPO_ROOT / "data" / "california_stand_in.csv"
+    return build_problem("california-housing", make_rng(0), {"csv_path": str(csv)})
+
+
+WORKSPACE_PROBLEMS = {
+    "nam-synthetic": lambda: build_problem("nam-synthetic", make_rng(0), {}),
+    "california-housing": _housing,
+    # non-square hidden layers and a hidden fan-out of 1
+    "deep": lambda: NamProblem(make_nam_synthetic(make_rng(1)), hidden_sizes=(16, 8, 1, 4)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WORKSPACE_PROBLEMS))
+def ws_problem(request):
+    return WORKSPACE_PROBLEMS[request.param]()
+
+
+def ws_point(problem, seed, batch_size=256):
+    rng = make_rng(seed)
+    w = problem.init_params(rng) + 0.1 * rng.standard_normal(problem.dim)
+    d = rng.standard_normal(problem.dim)
+    batch = None if batch_size is None else rng.choice(problem.train.n, batch_size, replace=False)
+    return w, d, batch
+
+
+def ws_xi(problem, scale):
+    return np.outer(scale * np.linspace(0.5, 2.0, problem.default_layout.k), [-2, -1, 1, 2])
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("batch_size", [256, 100, None])
+    def test_loss_and_grad_bit_equal_to_broadcast(self, ws_problem, seed, batch_size):
+        w, _, batch = ws_point(ws_problem, seed, batch_size)
+        loss, g = ws_problem.loss_and_grad(w, batch)
+        ref_loss, ref_g = ref_loss_and_grad(ws_problem, w, batch)
+        assert loss == ref_loss
+        assert g.tobytes() == ref_g.tobytes()
+        assert ws_problem.loss(w, batch) == ref_loss
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("batch_size", [256, None])
+    def test_probe_table_bit_equal_to_broadcast(self, ws_problem, seed, scale, batch_size):
+        w, d, batch = ws_point(ws_problem, seed, batch_size)
+        xi = ws_xi(ws_problem, scale)
+        anchor, table = ws_problem.anchored_probe_losses(
+            w, d, ws_problem.default_layout, xi, batch
+        )
+        ref_anchor, ref_table = ref_anchored_probes(ws_problem, w, d, xi, batch)
+        assert anchor == ref_anchor
+        assert table.tobytes() == ref_table.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 255, 256, 257, 258, 513, 777, None])
+    def test_chunked_predict_bit_equal_to_one_pass(self, ws_problem, rows):
+        w, _, _ = ws_point(ws_problem, 4)
+        x = ws_problem.train.features[:rows]  # None: every train row
+        assert ws_problem.predict(w, x).tobytes() == ref_forward(ws_problem, w, x)[0].tobytes()
+
+    def test_test_metrics_bit_equal_to_one_pass(self, ws_problem):
+        w, _, _ = ws_point(ws_problem, 5)
+        pred = ref_forward(ws_problem, w, ws_problem.test.features)[0]
+        expected = float(np.mean((pred - ws_problem.test.targets) ** 2))
+        assert ws_problem.test_metrics(w)["test_loss"] == expected
+
+    def test_returned_arrays_do_not_alias_the_workspace(self, ws_problem):
+        w, d, batch = ws_point(ws_problem, 6)
+        w2, d2, _ = ws_point(ws_problem, 7)
+        xi = ws_xi(ws_problem, 1e-3)
+        layout = ws_problem.default_layout
+        _, g = ws_problem.loss_and_grad(w, batch)
+        _, table = ws_problem.anchored_probe_losses(w, d, layout, xi, batch)
+        pred = ws_problem.predict(w, ws_problem.test.features)
+        kept = [g.copy(), table.copy(), pred.copy()]
+        ws_problem.loss_and_grad(w2, batch)
+        ws_problem.anchored_probe_losses(w2, d2, layout, xi, batch)
+        ws_problem.predict(w2, ws_problem.test.features)
+        for before, after in zip(kept, [g, table, pred]):
+            assert before.tobytes() == after.tobytes()
+
+    def test_second_step_allocates_less_than_one_activation(self, ws_problem):
+        import tracemalloc
+
+        w, _, batch = ws_point(ws_problem, 8)
+        ws_problem.loss_and_grad(w, batch)  # warm-up: sizes the workspace
+        tracemalloc.start()
+        try:
+            ws_problem.loss_and_grad(w, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ws_problem.n_features * batch.size * 32 * 8
+
+    def test_full_batch_calls_leave_no_larger_buffer(self, ws_problem):
+        w, d, batch = ws_point(ws_problem, 9)
+        xi = ws_xi(ws_problem, 1e-3)
+        layout = ws_problem.default_layout
+        ws_problem.loss_and_grad(w, batch)
+        ws_problem.anchored_probe_losses(w, d, layout, xi, batch)
+        ws_problem.test_metrics(w)
+        sizes = {name: buf.nbytes for name, buf in ws_problem._buffers.items()}
+        assert sizes  # the batch calls filled the workspace
+        ws_problem.loss_and_grad(w, None)
+        ws_problem.loss(w, None)
+        ws_problem.anchored_probe_losses(w, d, layout, xi, None)
+        ws_problem.predict(w, ws_problem.train.features)
+        assert {name: buf.nbytes for name, buf in ws_problem._buffers.items()} == sizes
