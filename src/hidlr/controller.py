@@ -177,9 +177,8 @@ def evaluate_probes(
     """Loss change at each probed displacement; 4K loss evaluations, w untouched.
 
     ``l0`` is the already-computed loss at ``w`` on the same batch. The
-    losses come from one ``problem.probe_losses`` call. With ``l0=None``
-    they come from one ``problem.anchored_probe_losses`` call instead,
-    which also gives the anchor, at one more loss evaluation.
+    losses come from one ``problem.probe_losses`` call, which with
+    ``l0=None`` also computes the anchor, at one more loss evaluation.
     """
     w = np.asarray(w, dtype=np.float64)
     dir_vec = np.asarray(dir_vec, dtype=np.float64)
@@ -187,12 +186,7 @@ def evaluate_probes(
         raise LengthMismatch(
             f"params {w.shape} / direction {dir_vec.shape} vs layout dim {layout.dim}"
         )
-    if l0 is None:
-        l0, losses = problem.anchored_probe_losses(
-            w, dir_vec, layout, probe.xi_table(), batch
-        )
-    else:
-        losses = problem.probe_losses(w, dir_vec, layout, probe.xi_table(), batch)
+    l0, losses = problem.probe_losses(w, dir_vec, layout, probe.xi_table(), batch, l0)
     losses = losses.ravel()
     calls = probe_calls(losses)
     if not math.isfinite(losses[calls - 1]):
@@ -264,51 +258,43 @@ def optimal_lr(fit: QuadraticFit, persistence: float = 0.0) -> np.ndarray:
     return eta_star
 
 
-def _group_ok(fit: QuadraticFit) -> np.ndarray:
-    return _curvature_ok(fit) & (fit.b > 0.0)
-
-
 def gate_and_update(
     state: LrState,
     fit: QuadraticFit,
     eta_star: np.ndarray,
     cfg: HiDlrConfig,
 ) -> LrState:
-    """Accept the refresh (EMA + clamp) or keep the rates bit-identical."""
+    """Accept the refresh (EMA + clamp) or keep the rates bit-identical.
+
+    Global gating accepts every group or none; per-group gating accepts
+    each group on its own (a, b, R2).
+    """
+    curvature_ok, slope_ok = _curvature_ok(fit), fit.b > 0.0
     if cfg.gating == "global":
         failures = []
-        if not np.all(_curvature_ok(fit)):
+        if not np.all(curvature_ok):
             failures.append("curvature a not positive for all groups")
-        if not np.all(fit.b > 0.0):
+        if not np.all(slope_ok):
             failures.append("slope b not positive for all groups")
         if not fit.r2_pooled > cfg.r2_threshold:
             failures.append(
                 f"pooled R2 {fit.r2_pooled:.6g} <= {cfg.r2_threshold:.6g}"
             )
-        if failures:
-            return LrState(
-                eta=state.eta, accepted=False, reason="; ".join(failures)
-            )
-        eta = np.clip(
-            cfg.gamma * state.eta + (1.0 - cfg.gamma) * eta_star,
-            cfg.eta_min,
-            cfg.eta_max,
-        )
-        return LrState(eta=eta, accepted=True, reason="ok")
-
-    # per-group: each group gates on its own (a, b, R2)
-    ok = _group_ok(fit) & (fit.r2_group > cfg.r2_threshold)
-    if not np.any(ok):
-        return LrState(eta=state.eta, accepted=False, reason="no group passed")
-    eta = state.eta.copy()
-    eta[ok] = np.clip(
-        cfg.gamma * state.eta[ok] + (1.0 - cfg.gamma) * eta_star[ok],
-        cfg.eta_min,
-        cfg.eta_max,
+        ok = np.full(curvature_ok.shape, not failures)
+        reason = "; ".join(failures) or "ok"
+    else:
+        ok = curvature_ok & slope_ok & (fit.r2_group > cfg.r2_threshold)
+        n_ok = int(ok.sum())
+        if n_ok == 0:
+            reason = "no group passed"
+        else:
+            reason = "ok" if n_ok == len(ok) else f"accepted {n_ok}/{len(ok)} groups"
+    if not ok.any():
+        return LrState(eta=state.eta, accepted=False, reason=reason)
+    moved = np.clip(
+        cfg.gamma * state.eta + (1.0 - cfg.gamma) * eta_star, cfg.eta_min, cfg.eta_max
     )
-    n_ok = int(ok.sum())
-    reason = "ok" if n_ok == len(ok) else f"accepted {n_ok}/{len(ok)} groups"
-    return LrState(eta=eta, accepted=True, reason=reason)
+    return LrState(eta=np.where(ok, moved, state.eta), accepted=True, reason=reason)
 
 
 @dataclass

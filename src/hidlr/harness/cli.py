@@ -16,13 +16,12 @@ from pathlib import Path
 
 from ..controller import PROBE_MULTIPLIERS, forward_pass_budget
 from ..errors import HidlrError, ParseError, ValidationError
-from ..linalg import spawn_rngs
 from ..optim import OptimizerState, direction
-from ..problems import PROBLEM_NAMES, build_problem, group_params
+from ..problems import PROBLEM_NAMES
 from .config import apply_overrides, config_from_dict, load_config_dict
 from .diagnostics import pooled_r2_from_rows, taylor_diagnostics
 from .metrics import emit_metrics
-from .runner import run_experiment
+from .runner import run_experiment, set_up_run
 
 CONFIG_ERROR, RUNTIME_ERROR = 1, 2
 
@@ -95,11 +94,7 @@ def _cmd_run(cfg) -> int:
 
 
 def _cmd_diag(cfg) -> int:
-    data_rng, init_rng, _ = spawn_rngs(cfg.seed, 3)
-    problem = build_problem(cfg.problem, data_rng, cfg.problem_params)
-    grouping = "single" if cfg.method == "hiulr" else cfg.grouping
-    layout = group_params(problem, grouping, cfg.grouping_names)
-    w = problem.init_params(init_rng)
+    problem, layout, w, _, _ = set_up_run(cfg)
     opt = OptimizerState.create(cfg.optimizer, problem.dim, **cfg.optimizer_params)
     d = direction(opt, problem.grad(w), w)
 

@@ -16,12 +16,12 @@ import yaml
 
 from ..controller import HiDlrConfig
 from ..errors import ParseError, ValidationError
-from ..optim import OPTIMIZER_KINDS
+from ..optim import OPTIMIZER_KINDS, SCHEDULER_KINDS
 from ..problems import PROBLEM_NAMES, STRATEGIES
 
-METHODS = ("hidlr", "hiulr", "constant", "linear", "cosine", "grid")
+METHODS = ("hidlr", "hiulr", *SCHEDULER_KINDS, "grid")
 
-_OPT_KEYS = {"beta1", "beta2", "eps", "mu", "weight_decay", "decay_in_direction"}
+_OPT_KEYS = {"beta1", "beta2", "eps", "mu", "weight_decay"}
 
 
 @dataclass

@@ -24,7 +24,13 @@ from ..controller import (
 )
 from ..errors import HidlrError, ValidationError
 from ..linalg import spawn_rngs
-from ..optim import OptimizerState, default_toy_grid, grid_search, scheduler_lr
+from ..optim import (
+    SCHEDULER_KINDS,
+    OptimizerState,
+    default_toy_grid,
+    grid_search,
+    scheduler_lr,
+)
 from ..problems import build_problem, group_params
 from ..problems.base import GroupLayout, LossProblem, probe_calls
 from .config import ExperimentConfig
@@ -51,16 +57,10 @@ class CountingProblem:
         self.train_loss_calls += 1
         return self.inner.loss(w, batch)
 
-    def probe_losses(self, w, d, layout, xi, batch=None):
-        """Count what the group-major probe loop would: 4K, or fewer on failure."""
-        losses = self.inner.probe_losses(w, d, layout, xi, batch)
-        self.train_loss_calls += probe_calls(losses)
-        return losses
-
-    def anchored_probe_losses(self, w, d, layout, xi, batch=None):
-        """Count the anchor as one loss call, then the probes as the loop would."""
-        anchor, losses = self.inner.anchored_probe_losses(w, d, layout, xi, batch)
-        self.train_loss_calls += 1 + probe_calls(losses)
+    def probe_losses(self, w, d, layout, xi, batch=None, l0=None):
+        """Count a computed anchor as one loss call and the probes as the loop would."""
+        anchor, losses = self.inner.probe_losses(w, d, layout, xi, batch, l0)
+        self.train_loss_calls += (l0 is None) + probe_calls(losses)
         return anchor, losses
 
     def grad(self, w, batch=None):
@@ -269,18 +269,25 @@ def _train(problem, w, layout, cfg: ExperimentConfig, schedule, record, rate_at=
     return w, _clean(lr_state.eta)
 
 
+def set_up_run(cfg: ExperimentConfig):
+    """``(problem, layout, w0, method, shuffle_rng)`` for a configured run.
+
+    ``hiulr`` is the single-group controller by definition, so it comes
+    back as ``hidlr`` on the ``single`` layout.
+    """
+    data_rng, init_rng, shuffle_rng = spawn_rngs(cfg.seed, 3)
+    problem = build_problem(cfg.problem, data_rng, cfg.problem_params)
+    method, grouping = cfg.method, cfg.grouping
+    if method == "hiulr":
+        method, grouping = "hidlr", "single"
+    layout = group_params(problem, grouping, cfg.grouping_names)
+    return problem, layout, problem.init_params(init_rng), method, shuffle_rng
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Run one configured experiment deterministically."""
-    data_rng, init_rng, shuffle_rng = spawn_rngs(cfg.seed, 3)
-    problem = CountingProblem(build_problem(cfg.problem, data_rng, cfg.problem_params))
-
-    method = cfg.method
-    grouping = cfg.grouping
-    if method == "hiulr":  # single-group controller by definition
-        method, grouping = "hidlr", "single"
-    layout = group_params(problem.inner, grouping, cfg.grouping_names)
-
-    w = problem.init_params(init_rng)
+    inner, layout, w, method, shuffle_rng = set_up_run(cfg)
+    problem = CountingProblem(inner)
     schedule = _Schedule(problem, cfg, shuffle_rng)
     record = RunRecord()
     record.summary = {
@@ -296,7 +303,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
 
     try:
         rate_at = None  # the controller sets the rates
-        if method in ("constant", "linear", "cosine"):
+        if method in SCHEDULER_KINDS:
             total = schedule.total_steps
             rate_at = lambda t: scheduler_lr(method, t, total, cfg.base_lr)
         elif method == "grid":

@@ -35,7 +35,6 @@ class OptimizerState:
     eps: float = 1e-8
     mu: float = 0.9
     weight_decay: float = 0.0
-    decay_in_direction: bool = True
 
     @property
     def persistence(self) -> float:
@@ -93,7 +92,7 @@ def direction(state: OptimizerState, g: np.ndarray, w: np.ndarray) -> np.ndarray
     d += state.eps
     np.divide(state.m, 1.0 - state.beta1**state.t, out=tmp)  # m_hat
     np.divide(tmp, d, out=d)
-    if state.decay_in_direction and state.weight_decay != 0.0:
+    if state.weight_decay != 0.0:
         d += state.weight_decay * w
     return d
 

@@ -4,8 +4,8 @@ A problem owns a flat float64 parameter vector of dimension D partitioned
 into K named, contiguous, disjoint groups. ``loss`` and ``grad`` are pure
 functions of (w, batch); batches index into the training split, ``None``
 means full batch (and is the only mode for the 2-D toy functions, which have
-no dataset at all). ``loss_and_grad`` and ``anchored_probe_losses`` give
-both of their results from one forward where a problem can.
+no dataset at all). ``loss_and_grad`` and ``probe_losses`` give all of
+their results from one forward where a problem can.
 """
 
 from __future__ import annotations
@@ -158,16 +158,22 @@ class LossProblem:
         layout: GroupLayout,
         xi: np.ndarray,
         batch: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """(K, 4) training losses at w - xi[k, i] * d on group k alone.
+        l0: Optional[float] = None,
+    ) -> tuple[float, np.ndarray]:
+        """``(anchor, (K, 4) table)`` of training losses around ``w``.
 
-        Each entry counts as one training-loss evaluation, however it is
-        computed. This default evaluates them one by one in group-major
-        order on one reused copy of ``w``, and stops at the first
-        non-finite loss, leaving the entries after it NaN. An override must
-        give the same values for every entry up to that one, and must fall
-        back on this default for any layout it was not written for.
+        Table entry [k, i] is the loss at w - xi[k, i] * d on group k alone.
+        The anchor is ``l0`` when given; otherwise it is ``loss(w, batch)``
+        and counts as one more training-loss evaluation. Each table entry
+        counts as one evaluation, however it is computed. This default
+        evaluates them one by one in group-major order on one reused copy of
+        ``w``, and stops at the first non-finite loss, leaving the entries
+        after it NaN. An override must give the same anchor and the same
+        values for every entry up to that one, and must fall back on this
+        default for any layout it was not written for.
         """
+        if l0 is None:
+            l0 = self.loss(w, batch)
         out = np.full(xi.shape, np.nan)
         moved = np.array(w, dtype=np.float64)
         for k, part in enumerate(layout.slices()):
@@ -175,26 +181,9 @@ class LossProblem:
                 moved[part] = w[part] - scale * d[part]
                 out[k, i] = loss = self.loss(moved, batch)
                 if not math.isfinite(loss):
-                    return out
+                    return l0, out
             moved[part] = w[part]
-        return out
-
-    def anchored_probe_losses(
-        self,
-        w: np.ndarray,
-        d: np.ndarray,
-        layout: GroupLayout,
-        xi: np.ndarray,
-        batch: Optional[np.ndarray] = None,
-    ) -> tuple[float, np.ndarray]:
-        """``(loss(w, batch), probe_losses(...))``: the probes and their anchor.
-
-        The anchor counts as one more training-loss evaluation. An override
-        may take it from the base forward its probes already run, but must
-        give the same values bit for bit, and must fall back on this default
-        for any layout it was not written for.
-        """
-        return self.loss(w, batch), self.probe_losses(w, d, layout, xi, batch)
+        return l0, out
 
     def check_w(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from ..errors import ValidationError
 from .base import Dataset, GroupLayout, LossProblem
 
 
@@ -28,7 +29,7 @@ class LoraRegressionProblem(LossProblem):
         n_test: int = 200,
     ):
         if not 1 <= rank <= width:
-            raise ValueError(f"rank {rank} outside [1, {width}]")
+            raise ValidationError(f"rank {rank} outside [1, {width}]")
         self.width = width
         self.rank = rank
         self.teacher = rng.standard_normal((width, width)) / np.sqrt(width)
@@ -64,17 +65,19 @@ class LoraRegressionProblem(LossProblem):
         a, b = self._unpack(w)
         return _half_mse(x @ a.T, b, y)
 
-    def probe_losses(self, w, d, layout, xi, batch=None) -> np.ndarray:
+    def probe_losses(self, w, d, layout, xi, batch=None, l0=None):
         """Probe losses from one read of the batch.
 
         An A probe recomputes ``x @ A.T`` with the moved A; the B probes
         share the base ``x @ A.T``, formed only once the A probes are done.
         Each loss is ``loss``'s expression on the moved factor, so the table
         equals the default loop bit for bit, and like the loop it stops at
-        the first non-finite loss.
+        the first non-finite loss. Without ``l0`` the anchor is ``loss``.
         """
         if layout != self.default_layout:
-            return super().probe_losses(w, d, layout, xi, batch)
+            return super().probe_losses(w, d, layout, xi, batch, l0)
+        if l0 is None:
+            l0 = self.loss(w, batch)
         x, y = self.resolve_batch(batch)
         a, b = self._unpack(self.check_w(w))
         da, db = self._unpack(self.check_w(d))
@@ -82,13 +85,13 @@ class LoraRegressionProblem(LossProblem):
         for i, s in enumerate(xi[0]):
             out[0, i] = _half_mse(x @ (a - s * da).T, b, y)
             if not math.isfinite(out[0, i]):
-                return out
+                return l0, out
         xa = x @ a.T
         for i, s in enumerate(xi[1]):
             out[1, i] = _half_mse(xa, b - s * db, y)
             if not math.isfinite(out[1, i]):
-                return out
-        return out
+                return l0, out
+        return l0, out
 
     def grad(self, w, batch=None) -> np.ndarray:
         return self.loss_and_grad(w, batch)[1]

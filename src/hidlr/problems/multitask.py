@@ -97,30 +97,23 @@ class MultitaskHeadProblem(LossProblem):
         dlogits = (sigmoid(logits) - y) / logits.size
         return loss, (dlogits.T @ z).ravel()
 
-    def probe_losses(self, w, d, layout, xi, batch=None) -> np.ndarray:
+    def probe_losses(self, w, d, layout, xi, batch=None, l0=None):
         """Probe losses from two head products, using the head's linearity.
 
         Moving head k by -xi * d_k moves only logit column k, by -xi * z d_k.
         So each probe's loss is the base loss with column k's BCE sum
         replaced, one (B, K) BCE per multiplier. The sums run in another
         order than a full forward, so losses agree to rounding, not bits.
+        Without ``l0`` the anchor is the loss of the base logits.
         """
         if layout != self.default_layout:
-            return super().probe_losses(w, d, layout, xi, batch)
-        return self._anchored_probes(w, d, xi, batch)[1]
-
-    def anchored_probe_losses(self, w, d, layout, xi, batch=None):
-        """The probe table, anchored on the loss of the base logits it computes."""
-        if layout != self.default_layout:
-            return super().anchored_probe_losses(w, d, layout, xi, batch)
-        return self._anchored_probes(w, d, xi, batch)
-
-    def _anchored_probes(self, w, d, xi, batch):
+            return super().probe_losses(w, d, layout, xi, batch, l0)
         z, y = self._resolve_z(batch)
         logits = z @ self._head(self.check_w(w)).T  # (B, K)
         slopes = z @ self._head(self.check_w(d)).T
         bce = bce_with_logits(logits, y)
-        anchor = float(np.mean(bce))  # as ``loss`` computes it
+        if l0 is None:
+            l0 = float(np.mean(bce))  # as ``loss`` computes it
         base = bce.sum(axis=0)  # (K,)
         del bce  # holding it through the probe loop raises the peak memory
         total = base.sum()
@@ -128,7 +121,7 @@ class MultitaskHeadProblem(LossProblem):
         for i in range(xi.shape[1]):
             moved = bce_with_logits(logits - xi[:, i] * slopes, y).sum(axis=0)
             out[:, i] = (total - base + moved) / logits.size
-        return anchor, out
+        return l0, out
 
     def per_task_losses(self, w, split: str = "test") -> np.ndarray:
         z, y = (

@@ -243,7 +243,7 @@ class NamProblem(LossProblem):
                     da = np.matmul(dz, np.ascontiguousarray(wt), out=slot)
         return loss, g
 
-    def probe_losses(self, w, d, layout, xi, batch=None) -> np.ndarray:
+    def probe_losses(self, w, d, layout, xi, batch=None, l0=None):
         """Probe losses from one base forward plus one rerun per sub-network.
 
         A probe moves one group, so every other sub-network's output is the
@@ -251,18 +251,10 @@ class NamProblem(LossProblem):
         through the same layer loop, and the bias probes shift the base sum.
         The prediction is still summed over all K outputs in order, so each
         loss is bit-identical to a full forward at the probed parameters.
+        Without ``l0`` the anchor is the loss of that base forward.
         """
         if layout != self.default_layout:
-            return super().probe_losses(w, d, layout, xi, batch)
-        return self._anchored_probes(w, d, xi, batch)[1]
-
-    def anchored_probe_losses(self, w, d, layout, xi, batch=None):
-        """The probe table, anchored on the loss of the base forward it runs."""
-        if layout != self.default_layout:
-            return super().anchored_probe_losses(w, d, layout, xi, batch)
-        return self._anchored_probes(w, d, xi, batch)
-
-    def _anchored_probes(self, w, d, xi, batch):
+            return super().probe_losses(w, d, layout, xi, batch, l0)
         w, d = self.check_w(w), self.check_w(d)
         x, y = self.resolve_batch(batch)
         inputs = np.ascontiguousarray(x.T)[:, :, None]  # (K, B, 1)
@@ -270,7 +262,8 @@ class NamProblem(LossProblem):
         outs = self._subnets(inputs, layers, self._slots)[-1][:, :, 0]  # (K, B)
         out = np.empty(xi.shape)
         total = outs.sum(axis=0)
-        anchor = float(np.mean((beta + total - y) ** 2))  # as ``loss`` computes it
+        if l0 is None:
+            l0 = float(np.mean((beta + total - y) ** 2))  # as ``loss`` computes it
         out[0] = np.mean((w[0] - xi[0][:, None] * d[0] + total - y) ** 2, axis=1)
         s = w[1:].reshape(self.n_features, self.per_subnet)
         ds = d[1:].reshape(self.n_features, self.per_subnet)
@@ -287,7 +280,7 @@ class NamProblem(LossProblem):
                 acc += outs[j]
             out[k + 1] = np.mean((beta + acc - y) ** 2, axis=1)
             prefix = outs[k] if prefix is None else prefix + outs[k]
-        return anchor, out
+        return l0, out
 
     def test_metrics(self, w) -> dict:
         pred = self.predict(w, self.test.features)

@@ -114,6 +114,14 @@ class TestRunCommand:
         assert "training loss at step 8 is inf" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_lora_rank_error_exits_2(self, repo_root, tmp_path, capsys):
+        config = repo_root / "configs" / "lora-synthetic.yaml"
+        args = ["--override", "problem_params.rank=0", "--out", str(tmp_path / "out")]
+        assert main(["run", str(config), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["runtime error: rank 0 outside [1, 64]"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestGridCommand:
     def test_grid_forces_method(self, ellipse_yaml, tmp_path, capsys):

@@ -400,6 +400,46 @@ class TestGateAndUpdate:
         out = gate_and_update(state, fit, optimal_lr(fit), self.cfg())
         assert out.accepted is False
 
+    @pytest.mark.parametrize(
+        "a, b, r2, reason",
+        [
+            ([2.0, 2.0], [1.0, 1.0], 1.0, "ok"),
+            ([-1.0, 2.0], [1.0, 1.0], 1.0, "curvature a not positive for all groups"),
+            ([2.0, 2.0], [1.0, -1.0], 1.0, "slope b not positive for all groups"),
+            ([2.0, 2.0], [1.0, 1.0], 0.5, "pooled R2 0.5 <= 0.95"),
+            (
+                [-1.0, 2.0],
+                [1.0, -1.0],
+                1.0,
+                "curvature a not positive for all groups; "
+                "slope b not positive for all groups",
+            ),
+        ],
+    )
+    def test_global_reasons(self, a, b, r2, reason):
+        eta = np.array([0.01, 0.02])
+        fit = make_fit(a, b, r2_pooled=r2)
+        out = gate_and_update(LrState(eta=eta), fit, optimal_lr(fit), self.cfg())
+        assert out.reason == reason
+        assert out.accepted is (reason == "ok")
+
+    @pytest.mark.parametrize(
+        "a, r2_group, reason, accepted",
+        [
+            ([2.0, 2.0], [1.0, 1.0], "ok", True),
+            ([2.0, 2.0], [1.0, 0.5], "accepted 1/2 groups", True),
+            ([-2.0, 2.0], [1.0, 0.5], "no group passed", False),
+        ],
+    )
+    def test_per_group_reasons(self, a, r2_group, reason, accepted):
+        eta = np.array([0.01, 0.02])
+        fit = make_fit(a, [3.0, 1.0], r2_group=r2_group, r2_pooled=0.0)
+        cfg = self.cfg(gating="per-group")
+        out = gate_and_update(LrState(eta=eta), fit, optimal_lr(fit), cfg)
+        assert out.reason == reason
+        assert out.accepted is accepted
+        assert (out.eta is eta) is not accepted
+
 
 class TestHiDlrStep:
     def test_no_refresh_off_schedule(self):

@@ -1,4 +1,4 @@
-"""Fused ``loss_and_grad`` and ``anchored_probe_losses`` against their defaults."""
+"""Fused ``loss_and_grad`` and anchored ``probe_losses`` against their defaults."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,18 @@ from hidlr.problems.base import LossProblem
 from conftest import REPO_ROOT
 
 SEEDS = (0, 1, 2)
-ANCHORED = ("nam-synthetic", "california-housing", "multitask")
+# the structured overrides and the default loop (ellipse has no override)
+ANCHORED = ("nam-synthetic", "california-housing", "multitask", "lora-synthetic", "ellipse")
+COUNTED = ("nam-synthetic", "multitask", "lora-synthetic", "ellipse")
+
+
+def anchor_loss_calls(name, layout):
+    """``loss`` calls a probe set makes for its anchor and table, without ``l0``.
+
+    NAM and multitask take the anchor from their base forward; LoRA calls
+    ``loss`` for it; the default loop calls it for the anchor and each probe.
+    """
+    return {"lora-synthetic": 1, "ellipse": 1 + 4 * layout.k}.get(name, 0)
 
 
 def preset(name):
@@ -79,10 +90,12 @@ def test_anchor_and_table_match_separate_calls(name, seed, monkeypatch):
     w, d, batch = point(problem, seed, batch_size)
     xi = xi_for(layout, seed)
     calls = spy_loss(problem, monkeypatch)
-    anchor, table = problem.anchored_probe_losses(w, d, layout, xi, batch)
-    assert calls == []  # the override runs no separate loss
+    anchor, table = problem.probe_losses(w, d, layout, xi, batch)
+    assert len(calls) == anchor_loss_calls(name, layout)
     assert anchor == problem.loss(w, batch)
-    assert np.array_equal(table, problem.probe_losses(w, d, layout, xi, batch))
+    given, given_table = problem.probe_losses(w, d, layout, xi, batch, l0=anchor)
+    assert given == anchor
+    assert np.array_equal(table, given_table)
 
 
 @pytest.mark.parametrize("name", ANCHORED)
@@ -92,9 +105,9 @@ def test_other_layout_takes_default_anchor(name, monkeypatch):
     w, d, batch = point(problem, 1, batch_size)
     xi = xi_for(layout, 1)
     calls = spy_loss(problem, monkeypatch)
-    anchor, table = problem.anchored_probe_losses(w, d, layout, xi, batch)
+    anchor, table = problem.probe_losses(w, d, layout, xi, batch)
     assert len(calls) == 1 + 4 * layout.k
-    default = LossProblem.anchored_probe_losses(problem, w, d, layout, xi, batch)
+    default = LossProblem.probe_losses(problem, w, d, layout, xi, batch)
     assert anchor == default[0]
     assert np.array_equal(table, default[1])
 
@@ -109,17 +122,19 @@ def test_counting_fused_step(name):
     assert problem.eval_loss_calls == 0
 
 
+@pytest.mark.parametrize("name", COUNTED)
 @pytest.mark.parametrize("strategy", ["default", "single"])
-def test_counting_anchored_probe_set(strategy):
-    inner, batch_size = preset("nam-synthetic")
+def test_counting_anchored_probe_set(name, strategy):
+    inner, batch_size = preset(name)
     problem = CountingProblem(inner)
     layout = group_params(inner, strategy)
     w, d, batch = point(inner, 0, batch_size)
-    problem.anchored_probe_losses(w, d, layout, xi_for(layout, 0), batch)
+    anchor, _ = problem.probe_losses(w, d, layout, xi_for(layout, 0), batch)
+    assert anchor == inner.loss(w, batch)
     assert problem.train_loss_calls == 1 + 4 * layout.k
 
 
-@pytest.mark.parametrize("name", ["nam-synthetic", "multitask"])
+@pytest.mark.parametrize("name", COUNTED)
 def test_counting_anchor_after_failed_probe_set(name):
     # group 1's outer probes step by +-inf, so probe j = 4 is the first to fail
     inner, batch_size = preset(name)

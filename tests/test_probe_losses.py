@@ -38,7 +38,7 @@ def probe_point(problem, seed):
 
 
 def generic(problem, w, d, layout, xi, batch):
-    return LossProblem.probe_losses(problem, w, d, layout, xi, batch)
+    return LossProblem.probe_losses(problem, w, d, layout, xi, batch, l0=0.0)[1]
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
@@ -47,8 +47,9 @@ def test_matches_generic_loop(name, seed):
     problem = build(name)
     layout = problem.default_layout
     w, d, xi, batch = probe_point(problem, seed)
-    fast = problem.probe_losses(w, d, layout, xi, batch)
+    anchor, fast = problem.probe_losses(w, d, layout, xi, batch, l0=0.25)
     slow = generic(problem, w, d, layout, xi, batch)
+    assert anchor == 0.25
     assert fast.shape == (layout.k, 4)
     assert np.all(np.isfinite(slow))
     if name == "multitask":  # sums in another order: equal to rounding
@@ -65,6 +66,7 @@ def test_inputs_left_untouched(name):
     w, d, xi, batch = probe_point(problem, 0)
     before = (w.tobytes(), d.tobytes(), xi.tobytes())
     problem.probe_losses(w, d, problem.default_layout, xi, batch)
+    problem.probe_losses(w, d, problem.default_layout, xi, batch, l0=0.0)
     assert (w.tobytes(), d.tobytes(), xi.tobytes()) == before
 
 
@@ -78,12 +80,12 @@ def test_other_layouts_take_generic_loop(name, strategy, monkeypatch):
     calls = []
     loss = problem.loss
     monkeypatch.setattr(problem, "loss", lambda w, b=None: calls.append(1) or loss(w, b))
-    fast = problem.probe_losses(w, d, layout, xi, batch)
+    _, fast = problem.probe_losses(w, d, layout, xi, batch, l0=0.0)
     assert len(calls) == 4 * layout.k
     assert np.array_equal(fast, generic(problem, w, d, layout, xi, batch))
 
 
-@pytest.mark.parametrize("name", ["nam-synthetic", "multitask", "lora-synthetic"])
+@pytest.mark.parametrize("name", ["nam-synthetic", "multitask", "lora-synthetic", "ellipse"])
 def test_counting_after_failed_probe_set(name):
     # group 1's outer probes step by +-inf, so probe j = 4 is the first to fail
     inner = build(name)
@@ -116,11 +118,12 @@ def test_counting_matches_generic_loop_stop():
     assert problem.train_loss_calls == 3
 
 
-def test_counting_full_probe_set():
-    inner = build("nam-synthetic")
+@pytest.mark.parametrize("name", ["nam-synthetic", "multitask", "lora-synthetic", "ellipse"])
+def test_counting_full_probe_set(name):
+    inner = build(name)
     problem = CountingProblem(inner)
     w, d, xi, batch = probe_point(inner, 0)
-    problem.probe_losses(w, d, inner.default_layout, xi, batch)
+    problem.probe_losses(w, d, inner.default_layout, xi, batch, l0=0.0)
     assert problem.train_loss_calls == 4 * inner.default_layout.k
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hidlr.errors import ValidationError
 from hidlr.linalg import make_rng
 from hidlr.problems import LoraRegressionProblem
 
@@ -41,9 +42,9 @@ class TestLora:
         assert np.array_equal(g[3 * 32 :], np.zeros(32 * 3))
 
     def test_rank_bounds_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             LoraRegressionProblem(make_rng(0), width=8, rank=9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             LoraRegressionProblem(make_rng(0), width=8, rank=0)
 
     def test_loss_decreases_along_negative_gradient(self, problem):

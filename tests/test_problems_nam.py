@@ -239,7 +239,7 @@ class TestWorkspace:
     def test_probe_table_bit_equal_to_broadcast(self, ws_problem, seed, scale, batch_size):
         w, d, batch = ws_point(ws_problem, seed, batch_size)
         xi = ws_xi(ws_problem, scale)
-        anchor, table = ws_problem.anchored_probe_losses(
+        anchor, table = ws_problem.probe_losses(
             w, d, ws_problem.default_layout, xi, batch
         )
         ref_anchor, ref_table = ref_anchored_probes(ws_problem, w, d, xi, batch)
@@ -264,11 +264,11 @@ class TestWorkspace:
         xi = ws_xi(ws_problem, 1e-3)
         layout = ws_problem.default_layout
         _, g = ws_problem.loss_and_grad(w, batch)
-        _, table = ws_problem.anchored_probe_losses(w, d, layout, xi, batch)
+        _, table = ws_problem.probe_losses(w, d, layout, xi, batch)
         pred = ws_problem.predict(w, ws_problem.test.features)
         kept = [g.copy(), table.copy(), pred.copy()]
         ws_problem.loss_and_grad(w2, batch)
-        ws_problem.anchored_probe_losses(w2, d2, layout, xi, batch)
+        ws_problem.probe_losses(w2, d2, layout, xi, batch)
         ws_problem.predict(w2, ws_problem.test.features)
         for before, after in zip(kept, [g, table, pred]):
             assert before.tobytes() == after.tobytes()
@@ -291,12 +291,12 @@ class TestWorkspace:
         xi = ws_xi(ws_problem, 1e-3)
         layout = ws_problem.default_layout
         ws_problem.loss_and_grad(w, batch)
-        ws_problem.anchored_probe_losses(w, d, layout, xi, batch)
+        ws_problem.probe_losses(w, d, layout, xi, batch)
         ws_problem.test_metrics(w)
         sizes = {name: buf.nbytes for name, buf in ws_problem._buffers.items()}
         assert sizes  # the batch calls filled the workspace
         ws_problem.loss_and_grad(w, None)
         ws_problem.loss(w, None)
-        ws_problem.anchored_probe_losses(w, d, layout, xi, None)
+        ws_problem.probe_losses(w, d, layout, xi, None)
         ws_problem.predict(w, ws_problem.train.features)
         assert {name: buf.nbytes for name, buf in ws_problem._buffers.items()} == sizes
