@@ -10,7 +10,6 @@ call per refresh with ``--fresh-probe-batch``). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from ..optim import OptimizerState, direction
 from ..problems import PROBLEM_NAMES
 from .config import apply_overrides, config_from_dict, load_config_dict
 from .diagnostics import pooled_r2_from_rows, taylor_diagnostics
-from .metrics import emit_metrics
+from .metrics import emit_metrics, write_jsonl
 from .runner import run_experiment, set_up_run
 
 CONFIG_ERROR, RUNTIME_ERROR = 1, 2
@@ -106,9 +105,7 @@ def _cmd_diag(cfg) -> int:
     out = Path(cfg.out_dir) if cfg.out_dir else _default_out(cfg)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "diagnostics.jsonl"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+    write_jsonl(path, rows)
     print(f"wrote {path}  pooled_r2={r2:.6f}")
     return 0
 

@@ -9,15 +9,14 @@ method-specific in the output would break that.
 
 from __future__ import annotations
 
-import math
+import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from ..controller import (
     LrState,
-    RefreshRecord,
     forward_pass_budget,
     hidlr_step,
     initial_lr_state,
@@ -32,8 +31,9 @@ from ..optim import (
     scheduler_lr,
 )
 from ..problems import build_problem, group_params
-from ..problems.base import GroupLayout, LossProblem, probe_calls
+from ..problems.base import LossProblem, probe_calls
 from .config import ExperimentConfig
+from .metrics import RefreshLog, clean
 
 
 class CountingProblem:
@@ -83,69 +83,23 @@ class CountingProblem:
 
 @dataclass
 class RunRecord:
-    """Everything a run emits; all values JSON-serializable."""
+    """Everything a run emits: metric rows, the refresh log and a summary.
+
+    ``refreshes`` is None for a run that never refreshes.
+    """
 
     rows: list = field(default_factory=list)
-    probes: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    refreshes: Optional[RefreshLog] = None
 
+    def probe_lines(self) -> Iterator[str]:
+        """The lines of ``probes.jsonl``."""
+        return iter(()) if self.refreshes is None else self.refreshes.lines()
 
-def _finite(value: float) -> Optional[float]:
-    """A Python float as JSON: itself if finite, else None."""
-    return value if math.isfinite(value) else None
-
-
-def _clean(value):
-    """Make numpy values JSON-friendly; NaN becomes None."""
-    if isinstance(value, np.ndarray):
-        return [_clean(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        return _finite(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
-def refresh_rows(refresh: RefreshRecord, layout: GroupLayout) -> list:
-    """Serialize one refresh into probe rows plus a decision row."""
-    rows = []
-    fit = refresh.fit
-    if fit is not None:
-        columns = zip(fit.xi.tolist(), fit.delta_l.tolist(), fit.predicted.tolist())
-        for j, (xi, delta_l, predicted) in enumerate(columns):
-            g = j // 4
-            rows.append(
-                {
-                    "kind": "probe",
-                    "t": refresh.t,
-                    "group": g,
-                    "group_name": layout.names[g],
-                    "xi": _finite(xi),
-                    "delta_l": _finite(delta_l),
-                    "predicted": _finite(predicted),
-                }
-            )
-    rows.append(
-        {
-            "kind": "refresh",
-            "t": refresh.t,
-            "accepted": bool(refresh.accepted),
-            "reason": refresh.reason,
-            "a": _clean(fit.a) if fit else None,
-            "b": _clean(fit.b) if fit else None,
-            "r2_group": _clean(fit.r2_group) if fit else None,
-            "r2_pooled": _clean(fit.r2_pooled) if fit else None,
-            "eta_star": _clean(refresh.eta_star),
-            "eta_before": _clean(refresh.eta_before),
-            "eta_after": _clean(refresh.eta_after),
-            "floored": _clean(refresh.floored),
-        }
-    )
-    return rows
+    @property
+    def probes(self) -> list:
+        """The rows of ``probes.jsonl``, parsed from its lines."""
+        return [json.loads(line) for line in self.probe_lines()]
 
 
 class _Schedule:
@@ -200,14 +154,14 @@ def _eval_row(problem, w, t, schedule, epoch_losses, eta, record):
     row = {
         "iteration": t + 1,
         "epoch": (t + 1 + schedule.steps_per_epoch - 1) // schedule.steps_per_epoch,
-        "train_loss": _clean(np.mean(epoch_losses)),
-        "train_loss_last": _clean(epoch_losses[-1]),
-        "eta": _clean(np.asarray(eta)),
+        "train_loss": clean(np.mean(epoch_losses)),
+        "train_loss_last": clean(epoch_losses[-1]),
+        "eta": clean(np.asarray(eta)),
         "loss_calls": problem.train_loss_calls,
         "eval_loss_calls": problem.eval_loss_calls,
     }
     if metrics:
-        row.update({k: _clean(v) for k, v in metrics.items()})
+        row.update({k: clean(v) for k, v in metrics.items()})
     record.rows.append(row)
 
 
@@ -220,9 +174,11 @@ def _train(problem, w, layout, cfg: ExperimentConfig, schedule, record, rate_at=
     less the probe calls that failed refreshes did not make.
     """
     hcfg = cfg.hidlr if rate_at is None else None
-    lr_state = initial_lr_state(hcfg, layout.k) if hcfg else None
     opt = OptimizerState.create(cfg.optimizer, problem.dim, **cfg.optimizer_params)
     total = schedule.total_steps
+    if hcfg is not None:
+        lr_state = initial_lr_state(hcfg, layout.k)
+        record.refreshes = RefreshLog(-(-total // hcfg.phi), layout.names)
     epoch_losses = []
     missed = 0  # probe calls that failed refreshes did not make
     for t in range(total):
@@ -238,7 +194,7 @@ def _train(problem, w, layout, cfg: ExperimentConfig, schedule, record, rate_at=
         w, lr_state = res.w, res.lr_state
         epoch_losses.append(res.l0)
         if res.refresh is not None:
-            record.probes.extend(refresh_rows(res.refresh, layout))
+            record.refreshes.append(res.refresh)
             missed += 4 * layout.k - res.refresh.probe_calls
         if schedule.is_eval_point(t):
             _eval_row(problem, w, t, schedule, epoch_losses, lr_state.eta, record)
@@ -266,7 +222,7 @@ def _train(problem, w, layout, cfg: ExperimentConfig, schedule, record, rate_at=
             f"budget audit failed: {actual} training loss calls, "
             f"expected {expected} ({terms})"
         )
-    return w, _clean(lr_state.eta)
+    return w, clean(lr_state.eta)
 
 
 def set_up_run(cfg: ExperimentConfig):
@@ -319,7 +275,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             record.summary["grid"] = {
                 "grid": sorted(float(x) for x in grid),
                 "best_lr": float(best_lr),
-                "best_loss": _clean(best_loss),
+                "best_loss": clean(best_loss),
             }
             rate_at = lambda t: best_lr
         elif method != "hidlr":  # pragma: no cover - config validation owns this

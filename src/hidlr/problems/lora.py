@@ -69,28 +69,31 @@ class LoraRegressionProblem(LossProblem):
         """Probe losses from one read of the batch.
 
         An A probe recomputes ``x @ A.T`` with the moved A; the B probes
-        share the base ``x @ A.T``, formed only once the A probes are done.
-        Each loss is ``loss``'s expression on the moved factor, so the table
-        equals the default loop bit for bit, and like the loop it stops at
-        the first non-finite loss. Without ``l0`` the anchor is ``loss``.
+        share the base ``x @ A.T``, formed only once the A probes are done,
+        and a missing anchor is taken from it afterwards, so the product is
+        formed once per call. Each loss is ``loss``'s expression on the
+        moved factor, so the table and the anchor equal the default loop's
+        bit for bit, and like the loop it stops at the first non-finite loss.
         """
         if layout != self.default_layout:
             return super().probe_losses(w, d, layout, xi, batch, l0)
-        if l0 is None:
-            l0 = self.loss(w, batch)
         x, y = self.resolve_batch(batch)
         a, b = self._unpack(self.check_w(w))
         da, db = self._unpack(self.check_w(d))
         out = np.full(xi.shape, np.nan)
+        xa = None
         for i, s in enumerate(xi[0]):
             out[0, i] = _half_mse(x @ (a - s * da).T, b, y)
             if not math.isfinite(out[0, i]):
-                return l0, out
-        xa = x @ a.T
-        for i, s in enumerate(xi[1]):
-            out[1, i] = _half_mse(xa, b - s * db, y)
-            if not math.isfinite(out[1, i]):
-                return l0, out
+                break
+        else:
+            xa = x @ a.T
+            for i, s in enumerate(xi[1]):
+                out[1, i] = _half_mse(xa, b - s * db, y)
+                if not math.isfinite(out[1, i]):
+                    break
+        if l0 is None:
+            l0 = _half_mse(x @ a.T if xa is None else xa, b, y)
         return l0, out
 
     def grad(self, w, batch=None) -> np.ndarray:

@@ -1,6 +1,8 @@
 """End-to-end runs through the harness: records, schedules, accounting."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +16,12 @@ from hidlr.controller import (
 from hidlr.errors import HidlrError, NonFiniteLoss, ValidationError
 from hidlr.harness import runner
 from hidlr.harness.config import ExperimentConfig, parse_config
+from hidlr.harness.metrics import RefreshLog, clean
 from hidlr.harness.runner import (
     CountingProblem,
     RunRecord,
-    _clean,
     _eval_row,
     _Schedule,
-    refresh_rows,
     run_experiment,
 )
 from hidlr.linalg import make_rng
@@ -105,8 +106,80 @@ class TestSchedule:
         assert len(set(fresh.tolist())) == 10
 
 
+def ref_finite(value):
+    return value if math.isfinite(value) else None
+
+
+def ref_clean(value):
+    """The reference JSON cleaning: numpy to Python, non-finite to None."""
+    if isinstance(value, np.ndarray):
+        return [ref_clean(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [ref_clean(v) for v in value]
+    if isinstance(value, (np.floating, float)):
+        return ref_finite(float(value))
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    return value
+
+
+def ref_refresh_rows(refresh, names):
+    """The reference serializer: one refresh as probe dicts plus a decision dict."""
+    rows = []
+    fit = refresh.fit
+    if fit is not None:
+        columns = zip(fit.xi.tolist(), fit.delta_l.tolist(), fit.predicted.tolist())
+        for j, (xi, delta_l, predicted) in enumerate(columns):
+            g = j // 4
+            rows.append(
+                {
+                    "kind": "probe",
+                    "t": refresh.t,
+                    "group": g,
+                    "group_name": names[g],
+                    "xi": ref_finite(xi),
+                    "delta_l": ref_finite(delta_l),
+                    "predicted": ref_finite(predicted),
+                }
+            )
+    rows.append(
+        {
+            "kind": "refresh",
+            "t": refresh.t,
+            "accepted": bool(refresh.accepted),
+            "reason": refresh.reason,
+            "a": ref_clean(fit.a) if fit else None,
+            "b": ref_clean(fit.b) if fit else None,
+            "r2_group": ref_clean(fit.r2_group) if fit else None,
+            "r2_pooled": ref_clean(fit.r2_pooled) if fit else None,
+            "eta_star": ref_clean(refresh.eta_star),
+            "eta_before": ref_clean(refresh.eta_before),
+            "eta_after": ref_clean(refresh.eta_after),
+            "floored": ref_clean(refresh.floored),
+        }
+    )
+    return rows
+
+
+def ref_lines(refreshes, names):
+    return [
+        json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+        for refresh in refreshes
+        for row in ref_refresh_rows(refresh, names)
+    ]
+
+
+def logged_lines(refreshes, names):
+    log = RefreshLog(len(refreshes), names)
+    for refresh in refreshes:
+        log.append(refresh)
+    return list(log.lines())
+
+
 def clean_rows(refresh, layout):
-    """Probe rows the element-by-element way: ``_clean`` on each numpy scalar."""
+    """Probe rows the element-by-element way: ``clean`` on each numpy scalar."""
     fit = refresh.fit
     return [
         {
@@ -114,49 +187,122 @@ def clean_rows(refresh, layout):
             "t": refresh.t,
             "group": j // 4,
             "group_name": layout.names[j // 4],
-            "xi": _clean(fit.xi[j]),
-            "delta_l": _clean(fit.delta_l[j]),
-            "predicted": _clean(fit.predicted[j]),
+            "xi": clean(fit.xi[j]),
+            "delta_l": clean(fit.delta_l[j]),
+            "predicted": clean(fit.predicted[j]),
         }
         for j in range(fit.xi.shape[0])
     ]
 
 
-def a_refresh(fit, k):
+def a_refresh(fit, k, t=8):
     eta = np.full(k, 1e-3)
     return RefreshRecord(
-        t=8, fit=fit, eta_star=np.full(k, np.nan), eta_before=eta, eta_after=eta,
+        t=t, fit=fit, eta_star=np.full(k, np.nan), eta_before=eta, eta_after=eta,
         accepted=False, reason="r", floored=np.zeros(k, dtype=bool), probe_calls=4 * k,
     )
 
 
-class TestRefreshRows:
+def fitted(k=2, seed=0):
+    probe = build_probe_matrix(10.0 ** make_rng(seed).uniform(-3, -1, k))
+    return fit_diag_quadratic(probe, make_rng(seed).standard_normal(4 * k))
+
+
+class TestRefreshLogLines:
     layout = ellipse_problem().default_layout
 
-    def fitted(self):
-        probe = build_probe_matrix(np.array([0.1, 0.02]))
-        return fit_diag_quadratic(probe, make_rng(0).standard_normal(8))
+    def lines_of(self, refresh):
+        return [json.loads(line) for line in logged_lines([refresh], self.layout.names)]
 
     def test_probe_rows_equal_clean_rows(self):
-        refresh = a_refresh(self.fitted(), 2)
-        rows = refresh_rows(refresh, self.layout)
+        refresh = a_refresh(fitted(), 2)
+        rows = self.lines_of(refresh)
         assert rows[:-1] == clean_rows(refresh, self.layout)
-        assert json.dumps(rows[:-1]) == json.dumps(clean_rows(refresh, self.layout))
-        assert rows[-1]["kind"] == "refresh" and rows[-1]["a"] == _clean(refresh.fit.a)
+        reference = clean_rows(refresh, self.layout)
+        assert json.dumps(rows[:-1], sort_keys=True) == json.dumps(reference, sort_keys=True)
+        assert rows[-1]["kind"] == "refresh" and rows[-1]["a"] == clean(refresh.fit.a)
 
     def test_non_finite_predicted_is_null(self):
-        fit = self.fitted()
+        fit = fitted()
         fit.predicted[5] = np.inf
         fit.predicted[6] = np.nan
-        rows = refresh_rows(a_refresh(fit, 2), self.layout)
+        rows = self.lines_of(a_refresh(fit, 2))
         assert [r["predicted"] for r in rows[4:7]] == [fit.predicted[4], None, None]
         assert "Infinity" not in json.dumps(rows) and "NaN" not in json.dumps(rows)
 
     def test_failed_refresh_gives_decision_row_only(self):
-        rows = refresh_rows(a_refresh(None, 2), self.layout)
+        rows = self.lines_of(a_refresh(None, 2))
         assert len(rows) == 1
         assert rows[0]["kind"] == "refresh"
         assert rows[0]["a"] is None and rows[0]["r2_pooled"] is None
+
+    def test_lines_equal_reference_serializer(self):
+        names = ('q"uote', "back\\slash", "gr\u00fcn \u03b7")
+        k = len(names)
+        plain = a_refresh(fitted(k, 1), k, t=0)
+        plain.eta_star = np.array([2e-3, 5e-4, 1e-2])
+        plain.accepted, plain.reason = True, "ok"
+        odd = a_refresh(fitted(k, 2), k, t=3)
+        odd.fit.predicted[[0, 5, 11]] = [np.nan, np.inf, -np.inf]
+        odd.fit.xi[1], odd.fit.delta_l[2], odd.fit.delta_l[3] = -0.0, 5e-324, 1e16
+        odd.fit.a[0], odd.fit.b[1], odd.fit.r2_group[2] = -0.0, 5e-324, 1e16
+        odd.fit.r2_pooled = -np.inf
+        odd.eta_star = np.array([np.nan, np.inf, -np.inf])
+        odd.eta_before = np.array([-0.0, 5e-324, 1e16])
+        odd.floored = np.array([True, False, True])
+        failed = a_refresh(None, k, t=6)
+        failed.reason = "non-finite probe: probe row 4 (group 1) gave loss inf"
+        failed.floored = np.array([False, True, False])
+        refreshes = [plain, odd, failed]
+        lines = logged_lines(refreshes, names)
+        assert lines == ref_lines(refreshes, names)
+        assert len(lines) == 2 * (4 * k + 1) + 1
+        assert "NaN" not in "".join(lines) and "Infinity" not in "".join(lines)
+
+    def test_run_lines_equal_reference_serializer(self, monkeypatch):
+        refreshes = []
+        step = runner.hidlr_step
+
+        def keep(*args, **kwargs):
+            res = step(*args, **kwargs)
+            if res.refresh is not None:
+                refreshes.append(res.refresh)
+            return res
+
+        monkeypatch.setattr(runner, "hidlr_step", keep)
+        record = run_experiment(ellipse_cfg(iterations=6))
+        names = record.refreshes.group_names
+        assert list(record.probe_lines()) == ref_lines(refreshes, names)
+        assert record.refreshes.n == len(refreshes) == 6
+
+    def test_log_is_preallocated_for_every_refresh(self):
+        record = run_experiment(ellipse_cfg(iterations=7, hidlr=HiDlrConfig(phi=3)))
+        log = record.refreshes
+        assert log.n == log.t.shape[0] == 3
+        assert log.t.tolist() == [0, 3, 6]
+        assert log.xi.shape == log.delta_l.shape == log.predicted.shape == (3, 8)
+        assert log.a.shape == log.eta_after.shape == log.floored.shape == (3, 2)
+
+
+class TestRefreshLogMemory:
+    def test_lora_record_holds_little(self, repo_root):
+        cfg = parse_config(repo_root / "configs" / "lora-synthetic.yaml")
+        run_experiment(cfg)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            record = run_experiment(cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert record.refreshes.n == 250
+        assert held <= 200_000
+
+    @pytest.mark.parametrize("method", ["constant", "grid"])
+    def test_run_without_refreshes_has_no_log(self, method):
+        record = run_experiment(ellipse_cfg(method=method, iterations=5))
+        assert record.refreshes is None
+        assert list(record.probe_lines()) == []
 
 
 class TestRunExperiment:

@@ -29,10 +29,10 @@ COUNTED = ("nam-synthetic", "multitask", "lora-synthetic", "ellipse")
 def anchor_loss_calls(name, layout):
     """``loss`` calls a probe set makes for its anchor and table, without ``l0``.
 
-    NAM and multitask take the anchor from their base forward; LoRA calls
-    ``loss`` for it; the default loop calls it for the anchor and each probe.
+    NAM, multitask and LoRA take the anchor from their base forward; the
+    default loop calls ``loss`` for the anchor and each probe.
     """
-    return {"lora-synthetic": 1, "ellipse": 1 + 4 * layout.k}.get(name, 0)
+    return {"ellipse": 1 + 4 * layout.k}.get(name, 0)
 
 
 def preset(name):
@@ -147,6 +147,41 @@ def test_counting_anchor_after_failed_probe_set(name):
         evaluate_probes(problem, w, d, layout, build_probe_matrix(eta), batch, None)
     assert err.value.calls_made == 5
     assert problem.train_loss_calls == 1 + 5
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lora_anchored_probe_set_equals_default_loop(seed):
+    problem, batch_size = preset("lora-synthetic")
+    layout = problem.default_layout
+    w, d, batch = point(problem, seed, batch_size)
+    xi = xi_for(layout, seed)
+    anchor, table = problem.probe_losses(w, d, layout, xi, batch)
+    ref_anchor, ref_table = LossProblem.probe_losses(problem, w, d, layout, xi, batch)
+    assert anchor == ref_anchor
+    assert np.array_equal(table, ref_table)
+
+
+@pytest.mark.parametrize("group", [0, 1])
+def test_lora_anchor_after_failed_probe(group):
+    # the failing group's first probe steps by -inf, so probe j = 4 * group fails
+    inner, batch_size = preset("lora-synthetic")
+    problem = CountingProblem(inner)
+    layout = inner.default_layout
+    w, d, batch = point(inner, 2, batch_size)
+    eta = np.full(layout.k, 1e-3)
+    eta[group] = 1e308
+    probe = build_probe_matrix(eta)
+    with np.errstate(all="ignore"):
+        anchor, table = inner.probe_losses(w, d, layout, probe.xi_table(), batch)
+        ref_anchor, ref_table = LossProblem.probe_losses(
+            inner, w, d, layout, probe.xi_table(), batch
+        )
+        with pytest.raises(NonFiniteLoss) as err:
+            evaluate_probes(problem, w, d, layout, probe, batch, None)
+    assert anchor == ref_anchor == inner.loss(w, batch)
+    assert np.array_equal(table, ref_table, equal_nan=True)
+    assert err.value.calls_made == 4 * group + 1
+    assert problem.train_loss_calls == 1 + 4 * group + 1
 
 
 def test_fresh_batch_step_runs_one_forward_per_call(monkeypatch):
