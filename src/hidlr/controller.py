@@ -27,7 +27,7 @@ import numpy as np
 from .errors import LengthMismatch, NonFiniteLoss, SingularFit, ValidationError
 from .linalg import r2_score
 from .optim import OptimizerState, apply_update, direction
-from .problems.base import GroupLayout, LossProblem, probe_calls
+from .problems.base import GroupLayout, LossProblem
 
 PROBE_MULTIPLIERS = np.array([-2.0, -1.0, 1.0, 2.0])
 # Fit design at u = PROBE_MULTIPLIERS: columns 0.5*u^2 and -u, orthogonal,
@@ -74,6 +74,11 @@ class HiDlrConfig:
         if self.gating not in GATING_MODES:
             raise ValidationError(
                 f"gating must be one of {GATING_MODES}, got {self.gating!r}"
+            )
+        if not isinstance(self.fresh_probe_batch, bool):
+            raise ValidationError(
+                "fresh_probe_batch must be true or false, "
+                f"got {self.fresh_probe_batch!r}"
             )
 
     def initial_lr(self, k: int) -> np.ndarray:
@@ -152,7 +157,6 @@ class RefreshRecord:
     accepted: bool
     reason: str
     floored: np.ndarray
-    probe_calls: int  # loss evaluations the probe set made: 4K, or fewer on failure
 
 
 def build_probe_matrix(
@@ -178,7 +182,9 @@ def evaluate_probes(
 
     ``l0`` is the already-computed loss at ``w`` on the same batch. The
     losses come from one ``problem.probe_losses`` call, which with
-    ``l0=None`` also computes the anchor, at one more loss evaluation.
+    ``l0=None`` also computes the anchor, at one more loss evaluation. All
+    4K probes are evaluated even when one is non-finite; then NonFiniteLoss
+    names the first such probe row, or the anchor if only it is non-finite.
     """
     w = np.asarray(w, dtype=np.float64)
     dir_vec = np.asarray(dir_vec, dtype=np.float64)
@@ -188,14 +194,14 @@ def evaluate_probes(
         )
     l0, losses = problem.probe_losses(w, dir_vec, layout, probe.xi_table(), batch, l0)
     losses = losses.ravel()
-    calls = probe_calls(losses)
-    if not math.isfinite(losses[calls - 1]):
-        j = calls - 1
-        exc = NonFiniteLoss(
+    finite = np.isfinite(losses)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise NonFiniteLoss(
             f"probe row {j} (group {probe.group_of_row(j)}) gave loss {losses[j]}"
         )
-        exc.calls_made = calls  # for exact budget accounting upstream
-        raise exc
+    if not math.isfinite(l0):
+        raise NonFiniteLoss(f"probe anchor gave loss {l0}")
     return losses - l0
 
 
@@ -299,17 +305,12 @@ def gate_and_update(
 
 @dataclass
 class StepResult:
-    """One training step's outputs.
-
-    ``loss_calls`` counts training-loss evaluations: the step's loss, the
-    fresh-batch probe anchor, and each probe, however they were computed.
-    """
+    """One training step's outputs."""
 
     w: np.ndarray
     lr_state: LrState
     l0: float
     refresh: Optional[RefreshRecord]
-    loss_calls: int
 
 
 def hidlr_step(
@@ -338,26 +339,22 @@ def hidlr_step(
     d = direction(opt_state, g, w)
 
     refresh = None
-    loss_calls = 1
     if cfg is not None and t % cfg.phi == 0:
         probe = build_probe_matrix(lr_state.eta, cfg.probe_floor)
         if probe_batch is None:
             pb, lp = batch, l0
         else:
             pb, lp = probe_batch, None  # the probe set anchors itself
-            loss_calls += 1
         eta_before = lr_state.eta
         try:
             deltas = evaluate_probes(problem, w, d, layout, probe, pb, lp)
         except NonFiniteLoss as exc:
-            probe_calls_made = getattr(exc, "calls_made", 4 * probe.k)
             fit = None
             eta_star = np.full(probe.k, np.nan)
             lr_state = LrState(
                 eta=lr_state.eta, accepted=False, reason=f"non-finite probe: {exc}"
             )
         else:
-            probe_calls_made = 4 * probe.k
             fit = fit_diag_quadratic(probe, deltas)
             eta_star = optimal_lr(fit, opt_state.persistence)
             lr_state = gate_and_update(lr_state, fit, eta_star, cfg)
@@ -370,13 +367,9 @@ def hidlr_step(
             accepted=bool(lr_state.accepted),
             reason=lr_state.reason,
             floored=probe.floored,
-            probe_calls=probe_calls_made,
         )
-        loss_calls += probe_calls_made
     w_next = apply_update(w, layout, lr_state.eta, d)
-    return StepResult(
-        w=w_next, lr_state=lr_state, l0=l0, refresh=refresh, loss_calls=loss_calls
-    )
+    return StepResult(w=w_next, lr_state=lr_state, l0=l0, refresh=refresh)
 
 
 def forward_pass_budget(
@@ -387,8 +380,10 @@ def forward_pass_budget(
     Each step costs one loss call; each refresh (steps 0, phi, 2*phi, ...)
     adds 4K probe calls, plus f = ``fresh_probe_batch`` = 1 call to anchor
     the probes on a freshly drawn batch, giving T + (4K + f) * ceil(T / phi).
-    A probe counts as one call however ``probe_losses`` computes it.
-    Gradient passes and test-set evaluations are not included.
+    A probe counts as one call however ``probe_losses`` computes it, and a
+    refresh makes all 4K of them even when one is non-finite, so the count
+    is exact for every run. Gradient passes and test-set evaluations are not
+    included.
     """
     if total_steps < 1 or k < 1 or phi < 1:
         raise ValidationError(

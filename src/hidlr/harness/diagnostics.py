@@ -16,7 +16,6 @@ import numpy as np
 from ..controller import build_probe_matrix, evaluate_probes, fit_diag_quadratic
 from ..errors import ValidationError
 from ..linalg import r2_score
-from ..optim import apply_update
 from ..problems.base import GroupLayout, LossProblem
 
 
@@ -33,7 +32,8 @@ def taylor_diagnostics(
     The reference parabola per group comes from the standard probe set
     scaled so its widest probe (2x) reaches the largest grid magnitude;
     a grid equal to the four standard multiples of some rate therefore
-    reproduces the fit's own residuals.
+    reproduces the fit's own residuals. The measured losses come from one
+    ``probe_losses`` call with every group probed at every grid scale.
     """
     eta_grid = [float(x) for x in eta_grid]
     if not eta_grid:
@@ -44,21 +44,19 @@ def taylor_diagnostics(
     l0 = problem.loss(w, batch)
     deltas = evaluate_probes(problem, w, dir_vec, layout, probe, batch, l0)
     fit = fit_diag_quadratic(probe, deltas)
+    xi_table = np.tile(eta_grid, (layout.k, 1))
+    _, losses = problem.probe_losses(w, dir_vec, layout, xi_table, batch, l0)
 
     rows = []
     for g in range(layout.k):
-        for xi in eta_grid:
-            rate = np.zeros(layout.k)
-            rate[g] = xi
-            measured = problem.loss(apply_update(w, layout, rate, dir_vec), batch) - l0
-            predicted = 0.5 * fit.a[g] * xi**2 - fit.b[g] * xi
+        for xi, loss in zip(eta_grid, losses[g].tolist()):
             rows.append(
                 {
                     "group": g,
                     "group_name": layout.names[g],
                     "xi": xi,
-                    "measured": float(measured),
-                    "predicted": float(predicted),
+                    "measured": loss - l0,
+                    "predicted": float(0.5 * fit.a[g] * xi**2 - fit.b[g] * xi),
                 }
             )
     return rows

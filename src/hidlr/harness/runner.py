@@ -31,7 +31,7 @@ from ..optim import (
     scheduler_lr,
 )
 from ..problems import build_problem, group_params
-from ..problems.base import LossProblem, probe_calls
+from ..problems.base import LossProblem
 from .config import ExperimentConfig
 from .metrics import RefreshLog, clean
 
@@ -58,9 +58,9 @@ class CountingProblem:
         return self.inner.loss(w, batch)
 
     def probe_losses(self, w, d, layout, xi, batch=None, l0=None):
-        """Count a computed anchor as one loss call and the probes as the loop would."""
+        """Count a computed anchor as one loss call and each probe as one more."""
         anchor, losses = self.inner.probe_losses(w, d, layout, xi, batch, l0)
-        self.train_loss_calls += (l0 is None) + probe_calls(losses)
+        self.train_loss_calls += (l0 is None) + losses.size
         return anchor, losses
 
     def grad(self, w, batch=None):
@@ -170,8 +170,7 @@ def _train(problem, w, layout, cfg: ExperimentConfig, schedule, record, rate_at=
 
     With ``rate_at`` every group steps at ``rate_at(t)`` and nothing is
     probed, so the budget is one loss call per step. Without it the
-    controller sets the rates, and the budget is ``forward_pass_budget``
-    less the probe calls that failed refreshes did not make.
+    controller sets the rates, and the budget is ``forward_pass_budget``.
     """
     hcfg = cfg.hidlr if rate_at is None else None
     opt = OptimizerState.create(cfg.optimizer, problem.dim, **cfg.optimizer_params)
@@ -180,7 +179,6 @@ def _train(problem, w, layout, cfg: ExperimentConfig, schedule, record, rate_at=
         lr_state = initial_lr_state(hcfg, layout.k)
         record.refreshes = RefreshLog(-(-total // hcfg.phi), layout.names)
     epoch_losses = []
-    missed = 0  # probe calls that failed refreshes did not make
     for t in range(total):
         batch = schedule.batch(t)
         probe_batch = None
@@ -195,7 +193,6 @@ def _train(problem, w, layout, cfg: ExperimentConfig, schedule, record, rate_at=
         epoch_losses.append(res.l0)
         if res.refresh is not None:
             record.refreshes.append(res.refresh)
-            missed += 4 * layout.k - res.refresh.probe_calls
         if schedule.is_eval_point(t):
             _eval_row(problem, w, t, schedule, epoch_losses, lr_state.eta, record)
             epoch_losses = []
@@ -204,11 +201,8 @@ def _train(problem, w, layout, cfg: ExperimentConfig, schedule, record, rate_at=
         expected, terms = total, f"T={total}, K={layout.k}, no refreshes"
     else:
         fresh = int(hcfg.fresh_probe_batch and schedule.n > 0)
-        expected = forward_pass_budget(total, layout.k, hcfg.phi, fresh) - missed
-        terms = (
-            f"T={total}, K={layout.k}, phi={hcfg.phi}, f={fresh}, "
-            f"{missed} probe calls not made"
-        )
+        expected = forward_pass_budget(total, layout.k, hcfg.phi, fresh)
+        terms = f"T={total}, K={layout.k}, phi={hcfg.phi}, f={fresh}"
     actual = problem.train_loss_calls
     record.summary["loss_calls"] = {
         "train": actual,

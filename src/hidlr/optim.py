@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteLoss, UnknownStrategy
-from .linalg import make_rng
+from .linalg import spawn_rngs
 from .problems.base import GroupLayout, LossProblem
 
 OPTIMIZER_KINDS = ("sgd", "momentum", "adamw")
@@ -143,9 +143,10 @@ def grid_search(
 ) -> tuple[float, float]:
     """Best constant uniform rate on `grid` by final training loss.
 
-    Every candidate starts from the same seeded initialization and takes
-    `iters` plain full-batch ``hidlr_step`` steps, then scores its
-    full-batch loss. Diverged runs score +inf; ties break toward the
+    Every candidate starts from the run's initial parameters (drawn from
+    the second of ``spawn_rngs(seed, 3)``, as ``runner.set_up_run`` draws
+    them), takes `iters` plain full-batch ``hidlr_step`` steps, and scores
+    its full-batch loss. Diverged runs score +inf; ties break toward the
     smaller rate, and the result does not depend on the order of `grid`.
     """
     # controller imports this module, so its step is imported at call time
@@ -154,9 +155,10 @@ def grid_search(
     if len(grid) == 0:
         raise LengthMismatch("grid must be nonempty")
     layout = GroupLayout.from_sizes([("all", problem.dim)])
+    w0 = problem.init_params(spawn_rngs(seed, 3)[1])
     best_lr, best_loss = None, np.inf
     for lr in sorted(float(x) for x in grid):
-        w = problem.init_params(make_rng(seed))
+        w = w0
         state = OptimizerState.create(optimizer_kind, problem.dim, **(opt_hyper or {}))
         rate = LrState(eta=np.array([lr]))
         with np.errstate(over="ignore", invalid="ignore"):

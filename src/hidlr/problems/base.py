@@ -10,7 +10,6 @@ their results from one forward where a problem can.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -160,28 +159,26 @@ class LossProblem:
         batch: Optional[np.ndarray] = None,
         l0: Optional[float] = None,
     ) -> tuple[float, np.ndarray]:
-        """``(anchor, (K, 4) table)`` of training losses around ``w``.
+        """``(anchor, (K, n) table)`` of training losses around ``w``.
 
-        Table entry [k, i] is the loss at w - xi[k, i] * d on group k alone.
-        The anchor is ``l0`` when given; otherwise it is ``loss(w, batch)``
-        and counts as one more training-loss evaluation. Each table entry
-        counts as one evaluation, however it is computed. This default
-        evaluates them one by one in group-major order on one reused copy of
-        ``w``, and stops at the first non-finite loss, leaving the entries
-        after it NaN. An override must give the same anchor and the same
-        values for every entry up to that one, and must fall back on this
-        default for any layout it was not written for.
+        Table entry [k, i] is the loss at w - xi[k, i] * d on group k alone;
+        the controller probes with n = 4. The anchor is ``l0`` when given;
+        otherwise it is ``loss(w, batch)`` and counts as one more
+        training-loss evaluation. Each table entry counts as one evaluation,
+        however it is computed, and every entry is computed, finite or not.
+        This default evaluates them one by one in group-major order on one
+        reused copy of ``w``. An override must give the same anchor and the
+        same table, and must fall back on this default for any layout it was
+        not written for.
         """
         if l0 is None:
             l0 = self.loss(w, batch)
-        out = np.full(xi.shape, np.nan)
+        out = np.empty(xi.shape)
         moved = np.array(w, dtype=np.float64)
         for k, part in enumerate(layout.slices()):
             for i, scale in enumerate(xi[k]):
                 moved[part] = w[part] - scale * d[part]
-                out[k, i] = loss = self.loss(moved, batch)
-                if not math.isfinite(loss):
-                    return l0, out
+                out[k, i] = self.loss(moved, batch)
             moved[part] = w[part]
         return l0, out
 
@@ -201,15 +198,6 @@ class LossProblem:
         if batch.size == 0:
             raise LengthMismatch("batch must be nonempty")
         return self.train.take(batch)
-
-
-def probe_calls(losses: np.ndarray) -> int:
-    """Loss evaluations the group-major probe loop makes to give ``losses``.
-
-    The loop stops at the first non-finite loss, so that one is the last.
-    """
-    bad = np.flatnonzero(~np.isfinite(losses))
-    return int(bad[0]) + 1 if bad.size else losses.size
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

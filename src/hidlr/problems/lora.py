@@ -9,8 +9,6 @@ learning rates exploit.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import ValidationError
@@ -69,31 +67,23 @@ class LoraRegressionProblem(LossProblem):
         """Probe losses from one read of the batch.
 
         An A probe recomputes ``x @ A.T`` with the moved A; the B probes
-        share the base ``x @ A.T``, formed only once the A probes are done,
-        and a missing anchor is taken from it afterwards, so the product is
-        formed once per call. Each loss is ``loss``'s expression on the
-        moved factor, so the table and the anchor equal the default loop's
-        bit for bit, and like the loop it stops at the first non-finite loss.
+        and the anchor share the base ``x @ A.T``, formed once. Each loss is
+        ``loss``'s expression on the moved factor, so the table and the
+        anchor equal the default loop's bit for bit.
         """
         if layout != self.default_layout:
             return super().probe_losses(w, d, layout, xi, batch, l0)
         x, y = self.resolve_batch(batch)
         a, b = self._unpack(self.check_w(w))
         da, db = self._unpack(self.check_w(d))
-        out = np.full(xi.shape, np.nan)
-        xa = None
+        out = np.empty(xi.shape)
         for i, s in enumerate(xi[0]):
             out[0, i] = _half_mse(x @ (a - s * da).T, b, y)
-            if not math.isfinite(out[0, i]):
-                break
-        else:
-            xa = x @ a.T
-            for i, s in enumerate(xi[1]):
-                out[1, i] = _half_mse(xa, b - s * db, y)
-                if not math.isfinite(out[1, i]):
-                    break
+        xa = x @ a.T
+        for i, s in enumerate(xi[1]):
+            out[1, i] = _half_mse(xa, b - s * db, y)
         if l0 is None:
-            l0 = _half_mse(x @ a.T if xa is None else xa, b, y)
+            l0 = _half_mse(xa, b, y)
         return l0, out
 
     def grad(self, w, batch=None) -> np.ndarray:

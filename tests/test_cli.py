@@ -105,6 +105,16 @@ class TestRunCommand:
         assert main(["run", str(ellipse_yaml), *args]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ['"false"', '"no"'])
+    def test_string_fresh_probe_batch_exits_1(self, ellipse_yaml, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        args = ["--override", f"hidlr.fresh_probe_batch={value}", "--out", str(out)]
+        assert main(["run", str(ellipse_yaml), *args]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: fresh_probe_batch must be true or false, got '{value[1:-1]}'"
+        ]
+        assert not out.exists()
+
     def test_diverging_baseline_exits_2(self, repo_root, tmp_path, capsys):
         config = repo_root / "configs" / "nam-synthetic.yaml"
         args = ["--override", "method=constant", "--override", "base_lr=0.02"]

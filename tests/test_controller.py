@@ -21,9 +21,11 @@ from hidlr.controller import (
     optimal_lr,
 )
 from hidlr.errors import NonFiniteLoss, SingularFit, ValidationError
+from hidlr.harness.runner import CountingProblem
 from hidlr.linalg import make_rng, r2_score, solve_least_squares
 from hidlr.optim import OptimizerState, apply_update, direction
 from hidlr.problems import GroupLayout, ellipse_problem, quadratic_problem
+from hidlr.problems.base import Dataset, LossProblem
 from hidlr.problems.toy2d import FunctionProblem
 
 from conftest import assert_bit_identical
@@ -35,6 +37,25 @@ def parabola_deltas(probe, a, b):
     a_row = np.repeat(np.asarray(a, dtype=float), 4)
     b_row = np.repeat(np.asarray(b, dtype=float), 4)
     return 0.5 * a_row * xi**2 - b_row * xi
+
+
+class PoleProblem(LossProblem):
+    """mean(1 / (w - x)^2) + w^2 over the batch's rows x: a pole at each row."""
+
+    dim = 1
+    default_layout = GroupLayout.from_sizes([("w", 1)])
+    name = "pole"
+
+    def __init__(self, x):
+        self.train = Dataset(np.reshape(x, (-1, 1)), np.zeros(len(x)))
+
+    def loss(self, w, batch=None):
+        x = self.resolve_batch(batch)[0][:, 0]
+        return float(np.mean(1.0 / (w[0] - x) ** 2) + w[0] ** 2)
+
+    def grad(self, w, batch=None):
+        x = self.resolve_batch(batch)[0][:, 0]
+        return np.array([np.mean(-2.0 / (w[0] - x) ** 3) + 2.0 * w[0]])
 
 
 class TestProbeMatrix:
@@ -110,22 +131,33 @@ class TestEvaluateProbes:
         assert w.tobytes() == before
         assert problem.loss(w) == l0
 
-    def test_non_finite_probe_reports_calls_made(self):
+    def test_non_finite_probe_evaluates_every_probe(self):
         def guarded(w):
             return float(w[0]) if w[0] >= 0 else np.inf
 
-        problem = FunctionProblem(
+        inner = FunctionProblem(
             fn=guarded, grad_fn=lambda w: np.ones(1), init=[1.0], name="guard"
         )
-        layout = problem.default_layout
+        problem = CountingProblem(inner)
         probe = build_probe_matrix(np.array([1.01]))
         w = np.array([1.0])
-        # rows move w[0] to 3.02, 2.01, -0.01 -> fails on the third call
-        with pytest.raises(NonFiniteLoss) as err:
+        # rows move w[0] to 3.02, 2.01, -0.01, -1.02: the third is the first to fail
+        with pytest.raises(NonFiniteLoss, match=r"^probe row 2 \(group 0\) gave loss inf$"):
             evaluate_probes(
-                problem, w, np.ones(1), layout, probe, None, problem.loss(w)
+                problem, w, np.ones(1), inner.default_layout, probe, None, inner.loss(w)
             )
-        assert err.value.calls_made == 3
+        assert problem.train_loss_calls == 4
+
+    def test_non_finite_anchor_raises(self):
+        problem = PoleProblem([1.0, 3.0])
+        probe = build_probe_matrix(np.array([1e-3]))
+        w = np.array([1.0])
+        with np.errstate(divide="ignore"), pytest.raises(
+            NonFiniteLoss, match="^probe anchor gave loss inf$"
+        ):
+            evaluate_probes(
+                problem, w, np.ones(1), problem.default_layout, probe, None, None
+            )
 
 
 def lstsq_fit(probe, delta_l):
@@ -448,11 +480,12 @@ class TestHiDlrStep:
         lr_state = initial_lr_state(cfg, 2)
         opt = OptimizerState.create("sgd", 2)
         w = problem.init_params(make_rng(0))
+        counted = CountingProblem(problem)
         result = hidlr_step(
-            problem, w, lr_state, opt, cfg, problem.default_layout, None, t=3
+            counted, w, lr_state, opt, cfg, problem.default_layout, None, t=3
         )
         assert result.refresh is None
-        assert result.loss_calls == 1
+        assert counted.train_loss_calls == 1
         assert_bit_identical(result.lr_state.eta, lr_state.eta)
 
     def test_refresh_at_t_zero(self):
@@ -461,11 +494,12 @@ class TestHiDlrStep:
         lr_state = initial_lr_state(cfg, 2)
         opt = OptimizerState.create("sgd", 2)
         w = problem.init_params(make_rng(0))
+        counted = CountingProblem(problem)
         result = hidlr_step(
-            problem, w, lr_state, opt, cfg, problem.default_layout, None, t=0
+            counted, w, lr_state, opt, cfg, problem.default_layout, None, t=0
         )
         assert result.refresh is not None
-        assert result.loss_calls == 1 + 8
+        assert counted.train_loss_calls == 1 + 8
 
     def test_one_accepted_refresh_solves_1d_quadratic(self):
         # L = 0.5*4*w^2 from w=2: eta* = 1/4 is the exact line-search step
@@ -522,14 +556,42 @@ class TestHiDlrStep:
         assert result.lr_state.eta[0] == 0.5
         assert np.isfinite(result.w).all()
 
+    def test_non_finite_fresh_batch_anchor_rejects_but_training_continues(self):
+        # the step batch {0, 2} is finite at w = 1; the probe batch {1, 3} has
+        # its pole at w = 1, so only the probe anchor is non-finite
+        problem = CountingProblem(PoleProblem([0.0, 1.0, -1.0, 3.0]))
+        cfg = HiDlrConfig(phi=1)
+        lr_state = initial_lr_state(cfg, 1)
+        w = np.array([1.0])
+        with np.errstate(divide="ignore"):
+            result = hidlr_step(
+                problem,
+                w,
+                lr_state,
+                OptimizerState.create("sgd", 1),
+                cfg,
+                problem.default_layout,
+                np.array([0, 2]),
+                t=0,
+                probe_batch=np.array([1, 3]),
+            )
+        assert result.refresh.accepted is False
+        assert result.refresh.fit is None
+        assert result.refresh.reason == "non-finite probe: probe anchor gave loss inf"
+        assert_bit_identical(result.lr_state.eta, lr_state.eta)
+        # 1/(w - 0)^2 and 1/(w + 1)^2 give a gradient of -2 - 1/4 + 2 at w = 1
+        assert result.w[0] == 1.0 - 1e-3 * 0.875
+        assert problem.train_loss_calls == 1 + 1 + 4
+
     def test_separate_probe_batch_costs_one_extra_call(self):
         problem = ellipse_problem()
         cfg = HiDlrConfig(phi=1)
         lr_state = initial_lr_state(cfg, 2)
         opt = OptimizerState.create("sgd", 2)
         w = problem.init_params(make_rng(0))
-        result = hidlr_step(
-            problem,
+        counted = CountingProblem(problem)
+        hidlr_step(
+            counted,
             w,
             lr_state,
             opt,
@@ -539,7 +601,7 @@ class TestHiDlrStep:
             t=0,
             probe_batch=np.arange(4),
         )
-        assert result.loss_calls == 1 + 1 + 8
+        assert counted.train_loss_calls == 1 + 1 + 8
 
     def test_no_config_is_a_plain_step(self):
         problem = ellipse_problem()
@@ -547,9 +609,10 @@ class TestHiDlrStep:
         eta = np.array([3e-3, 7e-4])
         w = problem.init_params(make_rng(0))
         opt = OptimizerState.create("adamw", 2)
-        result = hidlr_step(problem, w, LrState(eta=eta), opt, None, layout, None, t=0)
+        counted = CountingProblem(problem)
+        result = hidlr_step(counted, w, LrState(eta=eta), opt, None, layout, None, t=0)
         assert result.refresh is None
-        assert result.loss_calls == 1
+        assert counted.train_loss_calls == 1
         assert result.lr_state.eta is eta
         fresh = OptimizerState.create("adamw", 2)
         expected = apply_update(w, layout, eta, direction(fresh, problem.grad(w), w))

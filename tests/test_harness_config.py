@@ -137,6 +137,18 @@ class TestValueValidation:
         with pytest.raises(ValidationError, match="gamma"):
             config_from_dict({**MINIMAL, "hidlr": {"gamma": 1.5}})
 
+    @pytest.mark.parametrize("value", ['"false"', '"no"', '"true"', "1", "null"])
+    def test_fresh_probe_batch_must_be_a_bool(self, value):
+        raw = apply_overrides(dict(MINIMAL), [f"hidlr.fresh_probe_batch={value}"])
+        with pytest.raises(ValidationError, match="fresh_probe_batch must be true or"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("value", ["false", "no", "true", "yes"])
+    def test_fresh_probe_batch_yaml_bools_accepted(self, value):
+        raw = apply_overrides(dict(MINIMAL), [f"hidlr.fresh_probe_batch={value}"])
+        expected = value in ("true", "yes")
+        assert config_from_dict(raw).hidlr.fresh_probe_batch is expected
+
 
 class TestOverrides:
     def test_scalar_override(self):

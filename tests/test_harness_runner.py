@@ -199,7 +199,7 @@ def a_refresh(fit, k, t=8):
     eta = np.full(k, 1e-3)
     return RefreshRecord(
         t=t, fit=fit, eta_star=np.full(k, np.nan), eta_before=eta, eta_after=eta,
-        accepted=False, reason="r", floored=np.zeros(k, dtype=bool), probe_calls=4 * k,
+        accepted=False, reason="r", floored=np.zeros(k, dtype=bool),
     )
 
 
@@ -348,10 +348,13 @@ class TestRunExperiment:
         monkeypatch.setattr(runner, "build_problem", lambda *args: problem)
         cfg = ellipse_cfg(iterations=3, hidlr=HiDlrConfig(eta0=0.5))
         record = run_experiment(cfg)
-        # step 0's first probe moves w to 3.0 and fails: 1 of its 4 calls made
-        assert "non-finite" in record.probes[0]["reason"]
+        # step 0's probes move w to 3.0, 2.0, 0.0 and -1.0: the first fails,
+        # and all 4 calls are made
+        assert record.probes[0]["reason"] == (
+            "non-finite probe: probe row 0 (group 0) gave loss nan"
+        )
         calls = record.summary["loss_calls"]
-        assert calls["train"] == calls["expected_train"] == 3 + 4 * 3 - 3
+        assert calls["train"] == calls["expected_train"] == 3 + 4 * 3
         assert calls["budget_exact"] is True
 
     @pytest.mark.parametrize("method", ["constant", "linear", "cosine", "grid"])

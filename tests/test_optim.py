@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hidlr.errors import LengthMismatch, UnknownStrategy
-from hidlr.linalg import make_rng
+from hidlr.harness.config import ExperimentConfig
+from hidlr.harness.runner import set_up_run
+from hidlr.linalg import make_rng, spawn_rngs
 from hidlr.optim import (
     OPTIMIZER_KINDS,
     OptimizerState,
@@ -184,7 +186,7 @@ class TestSchedulers:
 
 def constant_lr_run(problem, optimizer_kind, lr, iters, seed, opt_hyper=None):
     """The grid's candidate run as a separate loop: gradient-only steps."""
-    w = problem.init_params(make_rng(seed))
+    w = problem.init_params(spawn_rngs(seed, 3)[1])
     state = OptimizerState.create(optimizer_kind, problem.dim, **(opt_hyper or {}))
     layout = GroupLayout.from_sizes([("all", problem.dim)])
     lr_vec = np.array([lr])
@@ -246,6 +248,13 @@ class TestGridSearch:
         fwd = grid_search(problem, "sgd", grid, iters=50)
         rev = grid_search(problem, "sgd", list(reversed(grid)), iters=50)
         assert fwd == rev
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_candidates_start_from_the_runs_init(self, seed):
+        cfg = ExperimentConfig(problem="nam-synthetic", method="grid", seed=seed)
+        problem, _, w0, _, _ = set_up_run(cfg)
+        _, loss = grid_search(problem, "sgd", [1e-3], iters=0, seed=seed)
+        assert loss == problem.loss(w0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(LengthMismatch):

@@ -41,6 +41,16 @@ def generic(problem, w, d, layout, xi, batch):
     return LossProblem.probe_losses(problem, w, d, layout, xi, batch, l0=0.0)[1]
 
 
+def assert_same_failed_table(name, fast, slow):
+    """Same finiteness mask as the default loop, and equal finite entries."""
+    finite = np.isfinite(slow)
+    assert np.array_equal(np.isfinite(fast), finite)
+    if name == "multitask":  # sums in another order: equal to rounding
+        np.testing.assert_allclose(fast[finite], slow[finite], rtol=1e-12, atol=0.0)
+    else:
+        assert np.array_equal(fast[finite], slow[finite])
+
+
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matches_generic_loop(name, seed):
@@ -95,13 +105,18 @@ def test_counting_after_failed_probe_set(name):
     eta = np.full(layout.k, 1e-3)
     eta[1] = 1e308
     probe = build_probe_matrix(eta)
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss) as err:
-        evaluate_probes(problem, w, d, layout, probe, batch, inner.loss(w, batch))
-    assert err.value.calls_made == 5
-    assert problem.train_loss_calls == 5
+    with np.errstate(all="ignore"):
+        xi = probe.xi_table()
+        with pytest.raises(NonFiniteLoss, match=r"^probe row 4 \(group 1\) gave loss "):
+            evaluate_probes(problem, w, d, layout, probe, batch, inner.loss(w, batch))
+        _, fast = inner.probe_losses(w, d, layout, xi, batch, l0=0.0)
+        slow = generic(inner, w, d, layout, xi, batch)
+    assert problem.train_loss_calls == 4 * layout.k
+    assert_same_failed_table(name, fast, slow)
+    assert not np.isfinite(slow[1, 0]) and np.isfinite(slow.ravel()[:4]).all()
 
 
-def test_counting_matches_generic_loop_stop():
+def test_counting_matches_generic_loop_after_failure():
     def guarded(w):
         return float(w[0]) if w[0] >= 0 else np.inf
 
@@ -111,11 +126,12 @@ def test_counting_matches_generic_loop_stop():
     problem = CountingProblem(inner)
     probe = build_probe_matrix(np.array([1.01]))
     w = np.array([1.0])
-    # probes move w[0] to 3.02, 2.01, -0.01 -> the third call fails
-    with pytest.raises(NonFiniteLoss) as err:
+    # probes move w[0] to 3.02, 2.01, -0.01, -1.02 -> the third is the first to fail
+    with pytest.raises(NonFiniteLoss, match=r"^probe row 2 \(group 0\) gave loss inf$"):
         evaluate_probes(problem, w, np.ones(1), inner.default_layout, probe, None, 1.0)
-    assert err.value.calls_made == 3
-    assert problem.train_loss_calls == 3
+    assert problem.train_loss_calls == 4
+    table = generic(inner, w, np.ones(1), inner.default_layout, probe.xi_table(), None)
+    assert table.tolist() == [[3.02, 2.01, np.inf, np.inf]]
 
 
 @pytest.mark.parametrize("name", ["nam-synthetic", "multitask", "lora-synthetic", "ellipse"])
