@@ -24,7 +24,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteLoss, SingularFit, ValidationError
+from .errors import (
+    LengthMismatch,
+    NonFiniteLoss,
+    SingularFit,
+    ValidationError,
+    check_int,
+    check_real,
+)
 from .linalg import r2_score
 from .optim import OptimizerState, apply_update, direction
 from .problems.base import GroupLayout, LossProblem
@@ -56,9 +63,9 @@ class HiDlrConfig:
     fresh_probe_batch: bool = False
 
     def __post_init__(self):
-        if int(self.phi) != self.phi or self.phi < 1:
-            raise ValidationError(f"phi must be a positive integer, got {self.phi}")
-        self.phi = int(self.phi)
+        self.phi = check_int("phi", self.phi)
+        for name in ("gamma", "r2_threshold", "eta_min", "eta_max", "probe_floor"):
+            setattr(self, name, check_real(name, getattr(self, name)))
         if not 0.0 <= self.gamma < 1.0:
             raise ValidationError(f"gamma must be in [0, 1), got {self.gamma}")
         if not 0.0 < self.r2_threshold <= 1.0:
@@ -69,7 +76,7 @@ class HiDlrConfig:
             raise ValidationError(
                 f"need 0 < eta_min < eta_max, got [{self.eta_min}, {self.eta_max}]"
             )
-        if self.probe_floor <= 0.0:
+        if not self.probe_floor > 0.0:
             raise ValidationError(f"probe_floor must be positive, got {self.probe_floor}")
         if self.gating not in GATING_MODES:
             raise ValidationError(

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number checks that raise them."""
+
+import numbers
 
 
 class HidlrError(Exception):
@@ -43,3 +45,24 @@ class MissingColumn(HidlrError):
 
 class ValidationError(HidlrError):
     """Config violates an invariant."""
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float; a bool or a string that is not a number is an error."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
+def check_int(name: str, value, low: int = 1, high=None) -> int:
+    """``value`` as an int in ``[low, high]``; a bool or a non-integer is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValidationError(f"{name} {value} outside [{low}, {high}]")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    return int(value)

@@ -8,6 +8,7 @@ seed; there is no implicit entropy anywhere in the harness.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -15,13 +16,29 @@ from typing import Optional, Sequence
 import yaml
 
 from ..controller import HiDlrConfig
-from ..errors import ParseError, ValidationError
+from ..errors import ParseError, ValidationError, check_int, check_real
 from ..optim import OPTIMIZER_KINDS, SCHEDULER_KINDS
 from ..problems import PROBLEM_NAMES, STRATEGIES
 
 METHODS = ("hidlr", "hiulr", *SCHEDULER_KINDS, "grid")
 
 _OPT_KEYS = {"beta1", "beta2", "eps", "mu", "weight_decay"}
+
+
+def _check_optimizer_param(key: str, value) -> float:
+    """A finite ``optimizer_params`` value: eps > 0, weight_decay >= 0, the rest in [0, 1)."""
+    value = check_real(f"optimizer_params.{key}", value)
+    if key == "eps":
+        ok, bounds = 0.0 < value, "> 0"
+    elif key == "weight_decay":
+        ok, bounds = 0.0 <= value, ">= 0"
+    else:
+        ok, bounds = 0.0 <= value < 1.0, "in [0, 1)"
+    if not (ok and math.isfinite(value)):
+        raise ValidationError(
+            f"optimizer_params.{key} must be a finite number {bounds}, got {value}"
+        )
+    return value
 
 
 @dataclass
@@ -57,29 +74,29 @@ class ExperimentConfig:
             raise ValidationError(
                 f"grouping must be one of {STRATEGIES}, got {self.grouping!r}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        self.seed = check_int("seed", self.seed, low=0)
         if self.epochs is not None and self.iterations is not None:
             raise ValidationError("give epochs or iterations, not both")
         for name in ("epochs", "iterations", "batch_size"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 1):
-                raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-        try:
-            self.base_lr = float(self.base_lr)
-        except (TypeError, ValueError):
-            raise ValidationError(f"base_lr must be a number, got {self.base_lr!r}") from None
+            if getattr(self, name) is not None:
+                setattr(self, name, check_int(name, getattr(self, name)))
+        self.base_lr = check_real("base_lr", self.base_lr)
         if not self.base_lr > 0:
             raise ValidationError(f"base_lr must be positive, got {self.base_lr}")
         if self.grid is not None:
             try:
-                self.grid = tuple(float(x) for x in self.grid)
-            except (TypeError, ValueError):
+                grid = tuple(self.grid)
+            except TypeError:
                 raise ValidationError(
                     f"grid must be a list of rates, got {self.grid!r}"
                 ) from None
-            if not self.grid or any(x <= 0 for x in self.grid):
+            self.grid = tuple(check_real("grid", x) for x in grid)
+            if not self.grid or not all(x > 0 for x in self.grid):
                 raise ValidationError("grid must be a nonempty list of positive rates")
+        self.optimizer_params = {
+            key: _check_optimizer_param(key, value)
+            for key, value in self.optimizer_params.items()
+        }
         self.grouping_names = tuple(self.grouping_names or ())
         if not isinstance(self.problem_params, dict):
             raise ValidationError("problem_params must be a mapping")

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, check_int
 from .base import (
     Dataset,
     GroupLayout,
@@ -68,6 +68,7 @@ def _build_nam_synthetic(rng, hidden_sizes=(32, 32)):
 
 def _build_california(rng, csv_path, target_column="MedHouseVal", split_seed=0,
                       hidden_sizes=(32, 32)):
+    split_seed = check_int("split_seed", split_seed, low=0)
     splits = load_csv_tabular(csv_path, target_column, seed=split_seed)
     return NamProblem(splits, hidden_sizes=tuple(hidden_sizes))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import check_int
 from .base import Dataset, GroupLayout, LossProblem
 
 
@@ -26,8 +26,9 @@ class LoraRegressionProblem(LossProblem):
         n_train: int = 1000,
         n_test: int = 200,
     ):
-        if not 1 <= rank <= width:
-            raise ValidationError(f"rank {rank} outside [1, {width}]")
+        width = check_int("width", width)
+        rank = check_int("rank", rank, high=width)
+        n_train, n_test = check_int("n_train", n_train), check_int("n_test", n_test)
         self.width = width
         self.rank = rank
         self.teacher = rng.standard_normal((width, width)) / np.sqrt(width)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import check_int
 from .base import Dataset, GroupLayout, LossProblem, bce_with_logits, sigmoid
 
 N_EXPERTS = 6
@@ -42,6 +43,7 @@ class MoeProblem(LossProblem):
         n_test: int = 200,
         flip_fraction: float = 0.10,
     ):
+        n_train, n_test = check_int("n_train", n_train), check_int("n_test", n_test)
         self.train = _make_split(rng, n_train, flip_fraction, "train")
         self.test = _make_split(rng, n_test, flip_fraction, "test")
 

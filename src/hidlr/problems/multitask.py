@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import check_int
 from .base import Dataset, GroupLayout, LossProblem, bce_with_logits, sigmoid
 
 FEATURE_DIM = 512
@@ -32,9 +32,8 @@ class MultitaskHeadProblem(LossProblem):
         n_train: int = 2048,
         n_test: int = 512,
     ):
-        if n_tasks < 2:
-            raise ValidationError(f"n_tasks must be >= 2, got {n_tasks}")
-        self.n_tasks = n_tasks
+        self.n_tasks = n_tasks = check_int("n_tasks", n_tasks, low=2)
+        n_train, n_test = check_int("n_train", n_train), check_int("n_test", n_test)
         self.noise_scales = np.linspace(NOISE_MIN, NOISE_MAX, n_tasks)
 
         # frozen feature map and per-task label directions

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from ..errors import DimensionMismatch, check_int
 from .base import Dataset, GroupLayout, LossProblem, split_dataset
 
 # Nonzero target components of the synthetic additive dataset; the remaining
@@ -81,7 +81,7 @@ class NamProblem(LossProblem):
         if n_features is not None and n_features != d:
             raise DimensionMismatch(f"{d} dataset features but {n_features} sub-networks")
         self.n_features = d
-        self.layer_dims = [1, *map(int, hidden_sizes), 1]
+        self.layer_dims = [1, *(check_int("hidden_sizes entry", h) for h in hidden_sizes), 1]
         # Per-layer (offset, in, out) within one sub-network's flat block.
         self._layer_spec = []
         cursor = 0

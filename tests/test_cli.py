@@ -133,6 +133,70 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize(
+        "config, override, same_as",
+        [
+            ("ellipse", "hidlr.eta_max=1e-2", "hidlr.eta_max=0.01"),
+            ("ellipse", "hidlr.gamma=5e-1", "hidlr.gamma=0.5"),
+            ("lora-synthetic", "optimizer_params.eps=1e-8", "optimizer_params.eps=0.00000001"),
+        ],
+    )
+    def test_exponent_numbers_run_like_decimals(
+        self, repo_root, tmp_path, capsys, config, override, same_as
+    ):
+        config = str(repo_root / "configs" / f"{config}.yaml")
+        summaries = []
+        for i, item in enumerate((override, same_as)):
+            out = tmp_path / str(i)
+            args = ["--override", item, "--override", "iterations=8", "--out", str(out)]
+            assert main(["run", config, *args]) == 0
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "config, override, message",
+        [
+            ("lora-synthetic", "batch_size=true", "batch_size must be an integer, got True"),
+            ("ellipse", "hidlr.phi=true", "phi must be an integer, got True"),
+            ("ellipse", "hidlr.eta_max=fast", "eta_max must be a number, got 'fast'"),
+            ("lora-synthetic", "optimizer_params.beta1=1.5",
+             "optimizer_params.beta1 must be a finite number in [0, 1), got 1.5"),
+            ("lora-synthetic", "optimizer_params.beta2=-1",
+             "optimizer_params.beta2 must be a finite number in [0, 1), got -1.0"),
+        ],
+    )
+    def test_bad_value_is_one_config_error(
+        self, repo_root, tmp_path, capsys, config, override, message
+    ):
+        out = tmp_path / "out"
+        args = ["--override", override, "--out", str(out)]
+        assert main(["run", str(repo_root / "configs" / f"{config}.yaml"), *args]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, override, message",
+        [
+            ("lora-synthetic", "problem_params.rank=2.5", "rank must be an integer, got 2.5"),
+            ("lora-synthetic", "problem_params.width=true",
+             "width must be an integer, got True"),
+            ("nam-synthetic", "problem_params.hidden_sizes=[32.7]",
+             "hidden_sizes entry must be an integer, got 32.7"),
+            ("nam-synthetic", "problem_params.hidden_sizes=[true]",
+             "hidden_sizes entry must be an integer, got True"),
+        ],
+    )
+    def test_non_integer_problem_parameter_is_one_runtime_error(
+        self, repo_root, tmp_path, capsys, config, override, message
+    ):
+        out = tmp_path / "out"
+        args = ["--override", override, "--out", str(out)]
+        assert main(["run", str(repo_root / "configs" / f"{config}.yaml"), *args]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"runtime error: {message}"]
+        assert not out.exists()
+
+
 class TestGridCommand:
     def test_grid_forces_method(self, ellipse_yaml, tmp_path, capsys):
         out = tmp_path / "out"

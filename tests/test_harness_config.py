@@ -106,6 +106,10 @@ class TestValueValidation:
         with pytest.raises(ValidationError, match="seed"):
             config_from_dict({**MINIMAL, "seed": True})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            config_from_dict({**MINIMAL, "seed": -1})
+
     @pytest.mark.parametrize("field", ["epochs", "iterations", "batch_size"])
     def test_nonpositive_counts_rejected(self, field):
         with pytest.raises(ValidationError, match=field):
@@ -136,6 +140,70 @@ class TestValueValidation:
     def test_bad_hidlr_value_propagates(self):
         with pytest.raises(ValidationError, match="gamma"):
             config_from_dict({**MINIMAL, "hidlr": {"gamma": 1.5}})
+
+    @pytest.mark.parametrize(
+        "name, text, value",
+        [
+            ("gamma", "5e-1", 0.5),
+            ("r2_threshold", "9e-1", 0.9),
+            ("eta_min", "1e-9", 1e-9),
+            ("eta_max", "1e-2", 1e-2),
+            ("probe_floor", "1e-13", 1e-13),
+        ],
+    )
+    def test_hidlr_numbers_read_like_base_lr(self, name, text, value):
+        # YAML reads 5e-1 (no dot) as a string; base_lr already takes it as a number
+        raw = apply_overrides(dict(MINIMAL), [f"hidlr.{name}={text}", f"base_lr={text}"])
+        cfg = config_from_dict(raw)
+        assert type(getattr(cfg.hidlr, name)) is float
+        assert getattr(cfg.hidlr, name) == value == cfg.base_lr
+
+    @pytest.mark.parametrize("name", ["gamma", "r2_threshold", "eta_min", "eta_max",
+                                      "probe_floor"])
+    @pytest.mark.parametrize("text", ["true", "fast"])
+    def test_hidlr_numbers_reject_bools_and_words(self, name, text):
+        raw = apply_overrides(dict(MINIMAL), [f"hidlr.{name}={text}"])
+        with pytest.raises(ValidationError, match=f"^{name} must be a number, got"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("key", ["epochs", "iterations", "batch_size", "hidlr.phi"])
+    @pytest.mark.parametrize("text", ["true", "2.0"])
+    def test_integer_fields_reject_bools_and_floats(self, key, text):
+        raw = apply_overrides(dict(MINIMAL), [f"{key}={text}"])
+        name = key.split(".")[-1]
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("beta1", 1.5),
+            ("beta1", 1.0),
+            ("beta2", -1),
+            ("mu", float("nan")),
+            ("eps", 0.0),
+            ("eps", float("inf")),
+            ("weight_decay", -0.1),
+            ("weight_decay", float("inf")),
+            ("eps", "fast"),
+            ("beta1", True),
+        ],
+    )
+    def test_optimizer_params_checked_on_load(self, key, value):
+        raw = {**MINIMAL, "optimizer": "adamw", "optimizer_params": {key: value}}
+        with pytest.raises(ValidationError, match=f"^optimizer_params.{key} must be"):
+            config_from_dict(raw)
+
+    def test_optimizer_params_stay_a_plain_dict_of_numbers(self):
+        raw = apply_overrides(
+            {**MINIMAL, "optimizer": "adamw"},
+            ["optimizer_params.eps=1e-8", "optimizer_params.weight_decay=0",
+             "optimizer_params.beta1=0"],
+        )
+        params = config_from_dict(raw).optimizer_params
+        assert type(params) is dict
+        assert params == {"eps": 1e-8, "weight_decay": 0.0, "beta1": 0.0}
+        assert all(type(v) is float for v in params.values())
 
     @pytest.mark.parametrize("value", ['"false"', '"no"', '"true"', "1", "null"])
     def test_fresh_probe_batch_must_be_a_bool(self, value):

@@ -47,6 +47,15 @@ class TestLora:
         with pytest.raises(ValidationError):
             LoraRegressionProblem(make_rng(0), width=8, rank=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"rank": 2.5}, "rank"), ({"width": True}, "width"), ({"n_train": 10.0}, "n_train"),
+         ({"n_test": False}, "n_test")],
+    )
+    def test_integer_parameters_checked(self, kwargs, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got"):
+            LoraRegressionProblem(make_rng(0), **kwargs)
+
     def test_loss_decreases_along_negative_gradient(self, problem):
         rng = make_rng(4)
         w = problem.init_params(rng)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hidlr.errors import ValidationError
 from hidlr.linalg import make_rng
 from hidlr.problems import MoeProblem, moe_label_rule
 from hidlr.problems.moe import EXPERT_HIDDEN, GATE_HIDDEN, N_EXPERTS
@@ -36,6 +37,12 @@ class TestMoeDataset:
     def test_inputs_in_range(self, problem):
         assert problem.train.features.min() >= -3.0
         assert problem.train.features.max() < 3.0
+
+    @pytest.mark.parametrize("kwargs, name", [({"n_train": True}, "n_train"),
+                                              ({"n_test": 20.0}, "n_test")])
+    def test_integer_sizes_checked(self, kwargs, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got"):
+            MoeProblem(make_rng(0), **kwargs)
 
 
 class TestMoeModel:

@@ -64,6 +64,15 @@ class TestMultitask:
         with pytest.raises(ValidationError):
             MultitaskHeadProblem(make_rng(0), n_tasks=1)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"n_tasks": True}, "n_tasks"), ({"n_tasks": 4.0}, "n_tasks"),
+         ({"n_train": 64.5}, "n_train"), ({"n_test": True}, "n_test")],
+    )
+    def test_integer_parameters_checked(self, kwargs, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got"):
+            MultitaskHeadProblem(make_rng(0), **kwargs)
+
     def test_grad_matches_fd_spot_check(self, problem):
         rng = make_rng(2)
         w = 0.05 * rng.standard_normal(problem.dim)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hidlr.errors import DimensionMismatch
+from hidlr.errors import DimensionMismatch, ValidationError
 from hidlr.linalg import make_rng
 from hidlr.problems import NAM_FEATURE_FNS, NamProblem, build_problem, make_nam_synthetic
 from hidlr.problems.nam import NAM_N_FEATURES, NAM_N_ROWS
@@ -107,6 +107,12 @@ class TestNamProblem:
         ds = make_nam_synthetic(make_rng(0))
         with pytest.raises(DimensionMismatch):
             NamProblem(ds, hidden_sizes=())
+
+    @pytest.mark.parametrize("hidden_sizes", [(32.7,), (True,), (8, "8")])
+    def test_non_integer_hidden_sizes_rejected(self, hidden_sizes):
+        ds = make_nam_synthetic(make_rng(0))
+        with pytest.raises(ValidationError, match="hidden_sizes entry must be an integer"):
+            NamProblem(ds, hidden_sizes=hidden_sizes)
 
     def test_test_metrics_reports_mse(self, problem):
         w = np.zeros(problem.dim)

@@ -33,6 +33,13 @@ class TestRegistry:
         with pytest.raises(ValidationError, match="csv_path"):
             build_problem("california-housing", make_rng(0))
 
+    @pytest.mark.parametrize("split_seed", [1.5, True, -1])
+    def test_california_split_seed_checked(self, repo_root, split_seed):
+        params = {"csv_path": str(repo_root / "data" / "california_stand_in.csv"),
+                  "split_seed": split_seed}
+        with pytest.raises(ValidationError, match="^split_seed must be"):
+            build_problem("california-housing", make_rng(0), params)
+
     def test_multitask_defaults_to_eight_tasks(self):
         problem = build_problem("multitask", make_rng(0))
         assert problem.n_tasks == 8
