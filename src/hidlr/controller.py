@@ -76,6 +76,14 @@ class HiDlrConfig:
             raise ValidationError(
                 f"need 0 < eta_min < eta_max, got [{self.eta_min}, {self.eta_max}]"
             )
+        is_list = isinstance(self.eta0, (list, tuple))
+        rates = [check_real("eta0", e) for e in (self.eta0 if is_list else [self.eta0])]
+        if not rates:
+            raise ValidationError(f"eta0 must be a number or a nonempty list, got {self.eta0!r}")
+        for rate in rates:
+            if not (math.isfinite(rate) and rate > 0.0):
+                raise ValidationError(f"eta0 must be a finite number > 0, got {rate}")
+        self.eta0 = rates if is_list else rates[0]
         if not self.probe_floor > 0.0:
             raise ValidationError(f"probe_floor must be positive, got {self.probe_floor}")
         if self.gating not in GATING_MODES:
@@ -89,13 +97,9 @@ class HiDlrConfig:
             )
 
     def initial_lr(self, k: int) -> np.ndarray:
-        eta0 = np.asarray(self.eta0, dtype=np.float64)
-        if eta0.ndim == 0:
-            eta0 = np.full(k, float(eta0))
+        eta0 = np.full(k, self.eta0) if np.ndim(self.eta0) == 0 else np.asarray(self.eta0)
         if eta0.shape != (k,):
             raise ValidationError(f"eta0 has shape {eta0.shape}, expected ({k},)")
-        if np.any(eta0 <= 0):
-            raise ValidationError("eta0 entries must be positive")
         return np.clip(eta0, self.eta_min, self.eta_max)
 
 

@@ -97,7 +97,10 @@ class ExperimentConfig:
             key: _check_optimizer_param(key, value)
             for key, value in self.optimizer_params.items()
         }
-        self.grouping_names = tuple(self.grouping_names or ())
+        names = () if self.grouping_names is None else self.grouping_names
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise ValidationError(f"grouping_names must be a list of strings, got {names!r}")
+        self.grouping_names = tuple(names)
         if not isinstance(self.problem_params, dict):
             raise ValidationError("problem_params must be a mapping")
 

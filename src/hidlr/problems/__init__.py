@@ -63,14 +63,14 @@ __all__ = [
 
 
 def _build_nam_synthetic(rng, hidden_sizes=(32, 32)):
-    return NamProblem(make_nam_synthetic(rng), hidden_sizes=tuple(hidden_sizes))
+    return NamProblem(make_nam_synthetic(rng), hidden_sizes=hidden_sizes)
 
 
 def _build_california(rng, csv_path, target_column="MedHouseVal", split_seed=0,
                       hidden_sizes=(32, 32)):
     split_seed = check_int("split_seed", split_seed, low=0)
     splits = load_csv_tabular(csv_path, target_column, seed=split_seed)
-    return NamProblem(splits, hidden_sizes=tuple(hidden_sizes))
+    return NamProblem(splits, hidden_sizes=hidden_sizes)
 
 
 # name -> (builder taking the rng, parameter names it accepts, names it requires)

@@ -10,6 +10,7 @@ their results from one forward where a problem can.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -105,6 +106,24 @@ class Dataset:
 
     def take(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.features[idx], self.targets[idx]
+
+
+def carve(block: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive pieces of ``block``'s last axis, piece i reshaped to ``shapes[i]``.
+
+    ``block`` is (..., n); piece i has shape (..., *shapes[i]). Splitting a
+    contiguous last axis is always a view, so a write through a piece lands
+    in ``block``. Raises LengthMismatch unless the pieces fill n exactly.
+    """
+    size, lead = sum(map(math.prod, shapes)), block.shape[:-1]
+    if size != block.shape[-1]:
+        raise LengthMismatch(f"shapes {list(shapes)} hold {size} entries, not {block.shape[-1]}")
+    pieces, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        pieces.append(block[..., start:stop].reshape(lead + tuple(shape)))
+        start = stop
+    return pieces
 
 
 def split_dataset(ds: Dataset, train_fraction: float = 0.8) -> tuple[Dataset, Dataset]:

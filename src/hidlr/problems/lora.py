@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import check_int
-from .base import Dataset, GroupLayout, LossProblem
+from .base import Dataset, GroupLayout, LossProblem, carve
 
 
 class LoraRegressionProblem(LossProblem):
@@ -44,19 +44,13 @@ class LoraRegressionProblem(LossProblem):
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         w = np.zeros(self.dim)
-        n_a = self.rank * self.width
-        w[:n_a] = rng.standard_normal(n_a) / np.sqrt(self.width)  # A Gaussian
+        a, _ = self._unpack(w)
+        a[...] = rng.standard_normal(a.shape) / np.sqrt(self.width)  # A Gaussian
         return w  # B stays zero
 
     def _unpack(self, w: np.ndarray):
-        n_a = self.rank * self.width
-        a = w[:n_a].reshape(self.rank, self.width)
-        b = w[n_a:].reshape(self.width, self.rank)
-        return a, b
-
-    def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        a, b = self._unpack(self.check_w(w))
-        return (x @ a.T) @ b.T
+        """Views ``(A (rank, width), B (width, rank))`` of ``w``."""
+        return carve(w, [(self.rank, self.width), (self.width, self.rank)])
 
     def loss(self, w, batch=None) -> float:
         w = self.check_w(w)
@@ -98,9 +92,11 @@ class LoraRegressionProblem(LossProblem):
         residual = xa @ b.T - y  # (B, width)
         loss = float(0.5 * np.sum(residual * residual) / x.shape[0])
         r = residual / x.shape[0]
-        ga = (b.T @ r.T) @ x  # (r, width)
-        gb = r.T @ xa  # (width, r)
-        return loss, np.concatenate([ga.ravel(), gb.ravel()])
+        g = np.empty(self.dim)
+        ga, gb = self._unpack(g)
+        ga[...] = (b.T @ r.T) @ x
+        gb[...] = r.T @ xa
+        return loss, g
 
     def test_metrics(self, w) -> dict:
         a, b = self._unpack(self.check_w(w))

@@ -8,15 +8,21 @@ random. A softmax gating network mixes the logits of six small expert MLPs
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..errors import check_int
-from .base import Dataset, GroupLayout, LossProblem, bce_with_logits, sigmoid
+from ..errors import ValidationError, check_int, check_real
+from .base import Dataset, GroupLayout, LossProblem, bce_with_logits, carve, sigmoid
 
 N_EXPERTS = 6
 GATE_HIDDEN = 32
 EXPERT_HIDDEN = 64
 INPUT_RANGE = (-3.0, 3.0)
+# Weight and bias shapes of the gate (2 -> GATE_HIDDEN -> N_EXPERTS) and of
+# one expert (2 -> EXPERT_HIDDEN -> 1), in the order they sit in the vector.
+GATE_SHAPES = ((2, GATE_HIDDEN), (GATE_HIDDEN,), (GATE_HIDDEN, N_EXPERTS), (N_EXPERTS,))
+EXPERT_SHAPES = ((2, EXPERT_HIDDEN), (EXPERT_HIDDEN,), (EXPERT_HIDDEN, 1), ())
 
 
 def moe_label_rule(x: np.ndarray) -> np.ndarray:
@@ -44,12 +50,14 @@ class MoeProblem(LossProblem):
         flip_fraction: float = 0.10,
     ):
         n_train, n_test = check_int("n_train", n_train), check_int("n_test", n_test)
+        flip_fraction = check_real("flip_fraction", flip_fraction)
+        if not 0.0 <= flip_fraction <= 1.0:
+            raise ValidationError(f"flip_fraction must be in [0, 1], got {flip_fraction}")
         self.train = _make_split(rng, n_train, flip_fraction, "train")
         self.test = _make_split(rng, n_test, flip_fraction, "test")
 
-        # gate: 2 -> GATE_HIDDEN -> N_EXPERTS; experts: 2 -> EXPERT_HIDDEN -> 1 each
-        self.gate_size = 2 * GATE_HIDDEN + GATE_HIDDEN + GATE_HIDDEN * N_EXPERTS + N_EXPERTS
-        self.expert_size = 2 * EXPERT_HIDDEN + EXPERT_HIDDEN + EXPERT_HIDDEN + 1
+        self.gate_size = sum(map(math.prod, GATE_SHAPES))
+        self.expert_size = sum(map(math.prod, EXPERT_SHAPES))
         self.dim = self.gate_size + N_EXPERTS * self.expert_size
         self.default_layout = GroupLayout.from_sizes(
             [("gate", self.gate_size), ("experts", N_EXPERTS * self.expert_size)]
@@ -57,33 +65,16 @@ class MoeProblem(LossProblem):
         self.name = "moe"
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
-        h, e = GATE_HIDDEN, EXPERT_HIDDEN
         w = np.zeros(self.dim)
-        w[: 2 * h] = rng.standard_normal(2 * h) * np.sqrt(2.0 / 2)
-        o = 3 * h
-        w[o : o + h * N_EXPERTS] = rng.standard_normal(h * N_EXPERTS) * np.sqrt(2.0 / h)
-        ex = w[self.gate_size :].reshape(N_EXPERTS, self.expert_size)
-        ex[:, : 2 * e] = rng.standard_normal((N_EXPERTS, 2 * e)) * np.sqrt(2.0 / 2)
-        ex[:, 3 * e : 4 * e] = rng.standard_normal((N_EXPERTS, e)) * np.sqrt(2.0 / e)
+        g1, _, g2, _, e1, _, e2, _ = self._views(w)
+        for weight in (g1, g2, e1, e2):  # He init by fan-in; biases stay zero
+            weight[...] = rng.standard_normal(weight.shape) * np.sqrt(2.0 / weight.shape[-2])
         return w
 
     def _views(self, w: np.ndarray):
-        h, e = GATE_HIDDEN, EXPERT_HIDDEN
-        o = 0
-        g1 = w[o : o + 2 * h].reshape(2, h)
-        o += 2 * h
-        gb1 = w[o : o + h]
-        o += h
-        g2 = w[o : o + h * N_EXPERTS].reshape(h, N_EXPERTS)
-        o += h * N_EXPERTS
-        gb2 = w[o : o + N_EXPERTS]
-        o += N_EXPERTS
-        ex = w[o:].reshape(N_EXPERTS, self.expert_size)
-        e1 = ex[:, : 2 * e].reshape(N_EXPERTS, 2, e)
-        eb1 = ex[:, 2 * e : 3 * e]
-        e2 = ex[:, 3 * e : 4 * e].reshape(N_EXPERTS, e, 1)
-        eb2 = ex[:, 4 * e]
-        return g1, gb1, g2, gb2, e1, eb1, e2, eb2
+        """Gate (g1, gb1, g2, gb2) and stacked expert (e1, eb1, e2, eb2) views of ``w``."""
+        experts = w[self.gate_size :].reshape(N_EXPERTS, self.expert_size)
+        return (*carve(w[: self.gate_size], GATE_SHAPES), *carve(experts, EXPERT_SHAPES))
 
     def _forward(self, w: np.ndarray, x: np.ndarray):
         g1, gb1, g2, gb2, e1, eb1, e2, eb2 = self._views(w)
@@ -121,35 +112,27 @@ class MoeProblem(LossProblem):
         _, _, g2, _, _, _, e2, _ = self._views(w)
 
         g = np.zeros(self.dim)
-        h, e = GATE_HIDDEN, EXPERT_HIDDEN
+        dg1, dgb1, dg2, dgb2, de1, deb1, de2, deb2 = self._views(g)
 
         dz = (sigmoid(z) - y) / y.shape[0]  # (B,)
         dp = dz[:, None] * expert_logits  # (B, E)
         dlogits = dz[:, None] * p  # (B, E)
 
-        # expert branch; write through a 2-D view of the stacked expert block
-        # (assigning into chained reshaped views is not write-safe in numpy)
-        dex = g[self.gate_size :].reshape(N_EXPERTS, self.expert_size)
-        dex[:, 4 * e] = dlogits.sum(axis=0)
-        dex[:, 3 * e : 4 * e] = np.einsum("beh,be->eh", ea1, dlogits, optimize=True)
+        # expert branch
+        deb2[...] = dlogits.sum(axis=0)
+        de2[..., 0] = np.einsum("beh,be->eh", ea1, dlogits, optimize=True)
         dea1 = dlogits[:, :, None] * e2[None, :, :, 0]  # (B, E, h)
         dez1 = dea1 * (ez1 > 0)
-        dex[:, : 2 * e] = np.einsum("bd,beh->edh", x, dez1, optimize=True).reshape(
-            N_EXPERTS, 2 * e
-        )
-        dex[:, 2 * e : 3 * e] = dez1.sum(axis=0)
+        de1[...] = np.einsum("bd,beh->edh", x, dez1, optimize=True)
+        deb1[...] = dez1.sum(axis=0)
 
         # softmax backward, then the gate MLP
         dgate_logits = p * (dp - (dp * p).sum(axis=1, keepdims=True))
         dgz1 = (dgate_logits @ g2.T) * (gz1 > 0)
-        o = 0
-        g[o : o + 2 * h] = (x.T @ dgz1).ravel()
-        o += 2 * h
-        g[o : o + h] = dgz1.sum(axis=0)
-        o += h
-        g[o : o + h * N_EXPERTS] = (ga1.T @ dgate_logits).ravel()
-        o += h * N_EXPERTS
-        g[o : o + N_EXPERTS] = dgate_logits.sum(axis=0)
+        dg1[...] = x.T @ dgz1
+        dgb1[...] = dgz1.sum(axis=0)
+        dg2[...] = ga1.T @ dgate_logits
+        dgb2[...] = dgate_logits.sum(axis=0)
         return loss, g
 
     def test_metrics(self, w) -> dict:

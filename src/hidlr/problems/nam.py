@@ -13,8 +13,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import DimensionMismatch, check_int
-from .base import Dataset, GroupLayout, LossProblem, split_dataset
+from ..errors import DimensionMismatch, ValidationError, check_int
+from .base import Dataset, GroupLayout, LossProblem, carve, split_dataset
 
 # Nonzero target components of the synthetic additive dataset; the remaining
 # features contribute nothing and exist to test whether training ignores them.
@@ -75,6 +75,8 @@ class NamProblem(LossProblem):
             self.train, self.test = split_dataset(dataset, 0.8)
         else:
             self.train, self.test = dataset
+        if not isinstance(hidden_sizes, (list, tuple)):
+            raise ValidationError(f"hidden_sizes must be a list of integers, got {hidden_sizes!r}")
         if not hidden_sizes:
             raise DimensionMismatch("hidden_sizes must be nonempty")
         d = self.train.features.shape[1]
@@ -82,42 +84,30 @@ class NamProblem(LossProblem):
             raise DimensionMismatch(f"{d} dataset features but {n_features} sub-networks")
         self.n_features = d
         self.layer_dims = [1, *(check_int("hidden_sizes entry", h) for h in hidden_sizes), 1]
-        # Per-layer (offset, in, out) within one sub-network's flat block.
-        self._layer_spec = []
-        cursor = 0
-        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
-            self._layer_spec.append((cursor, fan_in, fan_out))
-            cursor += fan_in * fan_out + fan_out
-        self.per_subnet = cursor
-        self.dim = 1 + d * cursor
+        # One sub-network's flat block: (in, out) weight then (out,) bias, per layer.
+        dims = self.layer_dims
+        self._shapes = [s for i, o in zip(dims[:-1], dims[1:]) for s in ((i, o), (o,))]
+        self.per_subnet = sum(map(math.prod, self._shapes))
+        self.dim = 1 + d * self.per_subnet
         self.default_layout = GroupLayout.from_sizes(
-            [("bias", 1)] + [(f"f{k + 1}", cursor) for k in range(d)]
+            [("bias", 1)] + [(f"f{k + 1}", self.per_subnet) for k in range(d)]
         )
         self.name = "nam"
         # Reused activation workspace: one slot per layer output plus the
         # output layer's delta, the ReLU mask and the probes' outputs.
-        self._slots = tuple(f"a{i}" for i in range(len(self._layer_spec)))
+        self._slots = tuple(f"a{i}" for i in range(len(self.layer_dims) - 1))
         self._buffers = {}
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         w = np.zeros(self.dim)
-        s = w[1:].reshape(self.n_features, self.per_subnet)
-        for off, fan_in, fan_out in self._layer_spec:
-            n_w = fan_in * fan_out
-            s[:, off : off + n_w] = rng.standard_normal(
-                (self.n_features, n_w)
-            ) * np.sqrt(2.0 / fan_in)
+        for weight, _ in self._unpack(w)[1]:  # He init by fan-in; biases stay zero
+            weight[...] = rng.standard_normal(weight.shape) * np.sqrt(2.0 / weight.shape[1])
         return w
 
     def _layers(self, s: np.ndarray):
-        """(weight (N, in, out), bias (N, out)) per layer of N stacked subnets."""
-        layers = []
-        for off, fan_in, fan_out in self._layer_spec:
-            n_w = fan_in * fan_out
-            weight = s[:, off : off + n_w].reshape(s.shape[0], fan_in, fan_out)
-            bias = s[:, off + n_w : off + n_w + fan_out]
-            layers.append((weight, bias))
-        return layers
+        """(weight (N, in, out), bias (N, out)) views per layer of N stacked subnets."""
+        pieces = carve(s, self._shapes)
+        return list(zip(pieces[::2], pieces[1::2]))
 
     def _unpack(self, w: np.ndarray):
         return w[0], self._layers(w[1:].reshape(self.n_features, self.per_subnet))
@@ -170,7 +160,7 @@ class NamProblem(LossProblem):
         beta, layers = self._unpack(w)
         acts = self._subnets(np.ascontiguousarray(x.T)[:, :, None], layers, self._slots)
         pred = beta + acts[-1][:, :, 0].sum(axis=0)
-        return pred, acts
+        return pred, acts, layers
 
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Predictions for the rows of ``x``, computed ``EVAL_ROWS`` rows at a time."""
@@ -195,13 +185,12 @@ class NamProblem(LossProblem):
     def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
         x, y = self.resolve_batch(batch)
-        pred, acts = self._forward(w, x)
-        _, layers = self._unpack(w)
+        pred, acts, layers = self._forward(w, x)
         residual = pred - y
         loss = float(np.mean(residual**2))
 
         g = np.zeros(self.dim)
-        gs = g[1:].reshape(self.n_features, self.per_subnet)
+        _, grads = self._unpack(g)
 
         dpred = 2.0 * residual / y.shape[0]  # (B,)
         g[0] = dpred.sum()
@@ -210,21 +199,15 @@ class NamProblem(LossProblem):
         last = len(layers) - 1
         for i in range(last, -1, -1):
             weight, _ = layers[i]
-            off, fan_in, fan_out = self._layer_spec[i]
-            n_w = fan_in * fan_out
+            gw, gb = grads[i]
+            fan_in, fan_out = weight.shape[1:]
             if i == last:
                 dz = da
             else:
                 mask = np.greater(acts[i], 0.0, out=self._buffer("mask", acts[i].shape, bool))
                 dz = np.multiply(da, mask, out=da)
-            a_in = (
-                np.ascontiguousarray(x.T)[:, :, None]
-                if i == 0
-                else acts[i - 1]
-            )
-            gw = np.matmul(a_in.transpose(0, 2, 1), dz)  # (K, in, out)
-            gs[:, off : off + n_w] = gw.reshape(self.n_features, n_w)
-            gb = gs[:, off + n_w : off + n_w + fan_out]
+            a_in = np.ascontiguousarray(x.T)[:, :, None] if i == 0 else acts[i - 1]
+            gw[...] = np.matmul(a_in.transpose(0, 2, 1), dz)  # (K, in, out)
             if fan_out == 1:
                 # sum adds one column pairwise, where einsum would add in sequence
                 gb[...] = dz.sum(axis=1)

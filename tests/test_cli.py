@@ -164,6 +164,12 @@ class TestRunCommand:
              "optimizer_params.beta1 must be a finite number in [0, 1), got 1.5"),
             ("lora-synthetic", "optimizer_params.beta2=-1",
              "optimizer_params.beta2 must be a finite number in [0, 1), got -1.0"),
+            ("ellipse", "hidlr.eta0=abc", "eta0 must be a number, got 'abc'"),
+            ("ellipse", "hidlr.eta0=[1e-3, -1]", "eta0 must be a finite number > 0, got -1.0"),
+            ("ellipse", "hidlr.eta0=true", "eta0 must be a number, got True"),
+            ("ellipse", "hidlr.eta0=.inf", "eta0 must be a finite number > 0, got inf"),
+            ("ellipse", "hidlr.eta0=.nan", "eta0 must be a finite number > 0, got nan"),
+            ("ellipse", "grouping_names=5", "grouping_names must be a list of strings, got 5"),
         ],
     )
     def test_bad_value_is_one_config_error(
@@ -185,11 +191,23 @@ class TestRunCommand:
              "hidden_sizes entry must be an integer, got 32.7"),
             ("nam-synthetic", "problem_params.hidden_sizes=[true]",
              "hidden_sizes entry must be an integer, got True"),
+            ("nam-synthetic", "problem_params.hidden_sizes=32",
+             "hidden_sizes must be a list of integers, got 32"),
+            ("california-housing", "problem_params.hidden_sizes=32",
+             "hidden_sizes must be a list of integers, got 32"),
+            ("moe", "problem_params.flip_fraction=abc",
+             "flip_fraction must be a number, got 'abc'"),
+            ("moe", "problem_params.flip_fraction=1.5", "flip_fraction must be in [0, 1], got 1.5"),
+            ("moe", "problem_params.flip_fraction=-0.1",
+             "flip_fraction must be in [0, 1], got -0.1"),
+            ("moe", "problem_params.flip_fraction=true",
+             "flip_fraction must be a number, got True"),
         ],
     )
-    def test_non_integer_problem_parameter_is_one_runtime_error(
-        self, repo_root, tmp_path, capsys, config, override, message
+    def test_bad_problem_parameter_is_one_runtime_error(
+        self, repo_root, tmp_path, capsys, monkeypatch, config, override, message
     ):
+        monkeypatch.chdir(repo_root)  # where california-housing's relative csv_path resolves
         out = tmp_path / "out"
         args = ["--override", override, "--out", str(out)]
         assert main(["run", str(repo_root / "configs" / f"{config}.yaml"), *args]) == 2

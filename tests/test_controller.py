@@ -661,6 +661,10 @@ class TestConfigValidation:
             {"eta_min": 1.0, "eta_max": 0.5},
             {"probe_floor": 0.0},
             {"gating": "sometimes"},
+            {"eta0": []},
+            {"eta0": [1e-3, 0.0]},
+            {"eta0": float("inf")},
+            {"eta0": "fast"},
         ],
     )
     def test_bad_values_rejected(self, kw):

@@ -160,11 +160,16 @@ def ref_loss_and_grad(problem, w, batch):
     dpred = 2.0 * residual / y.shape[0]
     g[0] = dpred.sum()
     da = np.broadcast_to(dpred[None, :, None], acts[-1].shape)
+    # (offset, in, out) of each layer in one sub-network's block, from the dims alone
+    spec, off = [], 0
+    for fan_in, fan_out in zip(problem.layer_dims[:-1], problem.layer_dims[1:]):
+        spec.append((off, fan_in, fan_out))
+        off += fan_in * fan_out + fan_out
     for i in range(len(layers) - 1, -1, -1):
         weight, _ = layers[i]
         dz = da if i == len(layers) - 1 else da * (acts[i] > 0)
         a_in = np.ascontiguousarray(x.T)[:, :, None] if i == 0 else acts[i - 1]
-        off, fan_in, fan_out = problem._layer_spec[i]
+        off, fan_in, fan_out = spec[i]
         n_w = fan_in * fan_out
         gw = np.matmul(a_in.transpose(0, 2, 1), dz)
         gs[:, off : off + n_w] = gw.reshape(problem.n_features, n_w)
