@@ -20,6 +20,10 @@ from ..errors import ParseError, ValidationError, check_int, check_real
 from ..optim import OPTIMIZER_KINDS, SCHEDULER_KINDS
 from ..problems import PROBLEM_NAMES, STRATEGIES
 
+# libyaml's loader where PyYAML was built with it; it tokenises in C and
+# gives the same values as the pure-Python SafeLoader.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 METHODS = ("hidlr", "hiulr", *SCHEDULER_KINDS, "grid")
 
 _OPT_KEYS = {"beta1", "beta2", "eps", "mu", "weight_decay"}
@@ -101,6 +105,13 @@ class ExperimentConfig:
         if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
             raise ValidationError(f"grouping_names must be a list of strings, got {names!r}")
         self.grouping_names = tuple(names)
+        if names and self.grouping != "named-split":
+            raise ValidationError(
+                f"grouping_names needs grouping: named-split, got grouping {self.grouping!r}"
+            )
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValidationError(f"grouping_names repeats {', '.join(repeated)}")
         if not isinstance(self.problem_params, dict):
             raise ValidationError("problem_params must be a mapping")
 
@@ -150,13 +161,38 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
+def _line_column(text: str, offset: int) -> str:
+    """``line L, column C`` (both from 1) of character ``offset`` in ``text``."""
+    line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    return f"line {line}, column {column}"
+
+
+def _yaml_error(exc: yaml.YAMLError, text: str) -> str:
+    """``line L, column C: problem`` for a YAML error, the same under either loader."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        # libyaml counts the offset in UTF-8 bytes and PyYAML in characters.
+        # Both stop at the first unacceptable character, so look it up.
+        character = chr(exc.character)
+        return f"{_line_column(text, text.find(character))}: {exc.reason} ({character!r})"
+    mark = exc.problem_mark  # every other loading error is marked
+    return f"line {mark.line + 1}, column {mark.column + 1}: {exc.problem}"
+
+
 def load_config_dict(path) -> dict:
     """Read the YAML file into a raw mapping (no validation yet)."""
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
     try:
-        raw = yaml.safe_load(text)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        where = _line_column(before, len(before))
+        raise ParseError(
+            f"{path}: {where}: byte {data[exc.start]:#04x} is not valid UTF-8"
+        ) from None
+    try:
+        raw = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise ParseError(f"{path}: {_yaml_error(exc, text)}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -176,7 +212,7 @@ def apply_overrides(raw: dict, overrides: Sequence[str]) -> dict:
             raise ParseError(f"override {item!r} is not of the form key=value")
         key_path, _, value_text = item.partition("=")
         try:
-            value = yaml.safe_load(value_text)
+            value = yaml.load(value_text, Loader=_LOADER)
         except yaml.YAMLError:
             raise ParseError(f"override {item!r}: unparseable value") from None
         keys = key_path.split(".")

@@ -108,22 +108,35 @@ class Dataset:
         return self.features[idx], self.targets[idx]
 
 
-def carve(block: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-    """Consecutive pieces of ``block``'s last axis, piece i reshaped to ``shapes[i]``.
+class Carving:
+    """Consecutive pieces of a block's last axis, piece i reshaped to ``shapes[i]``.
 
-    ``block`` is (..., n); piece i has shape (..., *shapes[i]). Splitting a
-    contiguous last axis is always a view, so a write through a piece lands
-    in ``block``. Raises LengthMismatch unless the pieces fill n exactly.
+    A problem makes one carving per layout when it is built, so the offsets
+    and sizes are worked out once and a call only slices. A block is
+    (..., n); piece i has shape (..., *shapes[i]). Splitting a contiguous
+    last axis is always a view, so a write through a piece lands in the
+    block. A call raises LengthMismatch unless the pieces fill n exactly.
     """
-    size, lead = sum(map(math.prod, shapes)), block.shape[:-1]
-    if size != block.shape[-1]:
-        raise LengthMismatch(f"shapes {list(shapes)} hold {size} entries, not {block.shape[-1]}")
-    pieces, start = [], 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        pieces.append(block[..., start:stop].reshape(lead + tuple(shape)))
-        start = stop
-    return pieces
+
+    def __init__(self, shapes: Sequence[tuple[int, ...]]):
+        self.shapes = [tuple(shape) for shape in shapes]
+        self.size = sum(map(math.prod, self.shapes))
+        self._plan, start = [], 0
+        for shape in self.shapes:
+            stop = start + math.prod(shape)
+            # a one-axis piece is already shaped by its slice
+            self._plan.append(((..., slice(start, stop)), None if len(shape) == 1 else shape))
+            start = stop
+
+    def __call__(self, block: np.ndarray) -> list[np.ndarray]:
+        if block.shape[-1] != self.size:
+            raise LengthMismatch(
+                f"shapes {self.shapes} hold {self.size} entries, not {block.shape[-1]}"
+            )
+        lead = block.shape[:-1]
+        return [
+            block[i] if shape is None else block[i].reshape(lead + shape) for i, shape in self._plan
+        ]
 
 
 def split_dataset(ds: Dataset, train_fraction: float = 0.8) -> tuple[Dataset, Dataset]:

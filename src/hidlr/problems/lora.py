@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import check_int
-from .base import Dataset, GroupLayout, LossProblem, carve
+from .base import Carving, Dataset, GroupLayout, LossProblem
 
 
 class LoraRegressionProblem(LossProblem):
@@ -36,7 +36,8 @@ class LoraRegressionProblem(LossProblem):
         x_te = rng.standard_normal((n_test, width))
         self.train = Dataset(x_tr, x_tr @ self.teacher.T, split="train")
         self.test = Dataset(x_te, x_te @ self.teacher.T, split="test")
-        self.dim = 2 * rank * width
+        self._carving = Carving([(rank, width), (width, rank)])
+        self.dim = self._carving.size
         self.default_layout = GroupLayout.from_sizes(
             [("A", rank * width), ("B", width * rank)]
         )
@@ -50,7 +51,7 @@ class LoraRegressionProblem(LossProblem):
 
     def _unpack(self, w: np.ndarray):
         """Views ``(A (rank, width), B (width, rank))`` of ``w``."""
-        return carve(w, [(self.rank, self.width), (self.width, self.rank)])
+        return self._carving(w)
 
     def loss(self, w, batch=None) -> float:
         w = self.check_w(w)

@@ -8,12 +8,10 @@ random. A softmax gating network mixes the logits of six small expert MLPs
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import ValidationError, check_int, check_real
-from .base import Dataset, GroupLayout, LossProblem, bce_with_logits, carve, sigmoid
+from .base import Carving, Dataset, GroupLayout, LossProblem, bce_with_logits, sigmoid
 
 N_EXPERTS = 6
 GATE_HIDDEN = 32
@@ -21,8 +19,8 @@ EXPERT_HIDDEN = 64
 INPUT_RANGE = (-3.0, 3.0)
 # Weight and bias shapes of the gate (2 -> GATE_HIDDEN -> N_EXPERTS) and of
 # one expert (2 -> EXPERT_HIDDEN -> 1), in the order they sit in the vector.
-GATE_SHAPES = ((2, GATE_HIDDEN), (GATE_HIDDEN,), (GATE_HIDDEN, N_EXPERTS), (N_EXPERTS,))
-EXPERT_SHAPES = ((2, EXPERT_HIDDEN), (EXPERT_HIDDEN,), (EXPERT_HIDDEN, 1), ())
+GATE = Carving([(2, GATE_HIDDEN), (GATE_HIDDEN,), (GATE_HIDDEN, N_EXPERTS), (N_EXPERTS,)])
+EXPERT = Carving([(2, EXPERT_HIDDEN), (EXPERT_HIDDEN,), (EXPERT_HIDDEN, 1), ()])
 
 
 def moe_label_rule(x: np.ndarray) -> np.ndarray:
@@ -56,8 +54,8 @@ class MoeProblem(LossProblem):
         self.train = _make_split(rng, n_train, flip_fraction, "train")
         self.test = _make_split(rng, n_test, flip_fraction, "test")
 
-        self.gate_size = sum(map(math.prod, GATE_SHAPES))
-        self.expert_size = sum(map(math.prod, EXPERT_SHAPES))
+        self.gate_size = GATE.size
+        self.expert_size = EXPERT.size
         self.dim = self.gate_size + N_EXPERTS * self.expert_size
         self.default_layout = GroupLayout.from_sizes(
             [("gate", self.gate_size), ("experts", N_EXPERTS * self.expert_size)]
@@ -74,7 +72,7 @@ class MoeProblem(LossProblem):
     def _views(self, w: np.ndarray):
         """Gate (g1, gb1, g2, gb2) and stacked expert (e1, eb1, e2, eb2) views of ``w``."""
         experts = w[self.gate_size :].reshape(N_EXPERTS, self.expert_size)
-        return (*carve(w[: self.gate_size], GATE_SHAPES), *carve(experts, EXPERT_SHAPES))
+        return (*GATE(w[: self.gate_size]), *EXPERT(experts))
 
     def _forward(self, w: np.ndarray, x: np.ndarray):
         g1, gb1, g2, gb2, e1, eb1, e2, eb2 = self._views(w)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..errors import DimensionMismatch, ValidationError, check_int
-from .base import Dataset, GroupLayout, LossProblem, carve, split_dataset
+from .base import Carving, Dataset, GroupLayout, LossProblem, split_dataset
 
 # Nonzero target components of the synthetic additive dataset; the remaining
 # features contribute nothing and exist to test whether training ignores them.
@@ -86,8 +86,8 @@ class NamProblem(LossProblem):
         self.layer_dims = [1, *(check_int("hidden_sizes entry", h) for h in hidden_sizes), 1]
         # One sub-network's flat block: (in, out) weight then (out,) bias, per layer.
         dims = self.layer_dims
-        self._shapes = [s for i, o in zip(dims[:-1], dims[1:]) for s in ((i, o), (o,))]
-        self.per_subnet = sum(map(math.prod, self._shapes))
+        self._carving = Carving([s for i, o in zip(dims[:-1], dims[1:]) for s in ((i, o), (o,))])
+        self.per_subnet = self._carving.size
         self.dim = 1 + d * self.per_subnet
         self.default_layout = GroupLayout.from_sizes(
             [("bias", 1)] + [(f"f{k + 1}", self.per_subnet) for k in range(d)]
@@ -106,7 +106,7 @@ class NamProblem(LossProblem):
 
     def _layers(self, s: np.ndarray):
         """(weight (N, in, out), bias (N, out)) views per layer of N stacked subnets."""
-        pieces = carve(s, self._shapes)
+        pieces = self._carving(s)
         return list(zip(pieces[::2], pieces[1::2]))
 
     def _unpack(self, w: np.ndarray):

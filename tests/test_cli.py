@@ -182,6 +182,40 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["grouping_names=[x]"],
+             "grouping_names needs grouping: named-split, got grouping 'per-coordinate'"),
+            (["grouping=named-split", "grouping_names=[x, y, x]"],
+             "grouping_names repeats x"),
+        ],
+    )
+    def test_bad_grouping_names_is_one_config_error(
+        self, repo_root, tmp_path, capsys, overrides, message
+    ):
+        out = tmp_path / "out"
+        args = [arg for item in overrides for arg in ("--override", item)]
+        config = str(repo_root / "configs" / "ellipse.yaml")
+        assert main(["run", config, *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (b"problem: [ellipse\nmethod: hidlr\n", "line 2, column 7: "),
+            (b"# caf\xe9\nproblem: ellipse\n", "line 1, column 6: byte 0xe9 is not valid UTF-8"),
+        ],
+    )
+    def test_unreadable_config_is_one_config_error(self, tmp_path, capsys, text, where):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: {path}: {where}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "config, override, message",
         [
             ("lora-synthetic", "problem_params.rank=2.5", "rank must be an integer, got 2.5"),

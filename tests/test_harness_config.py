@@ -1,13 +1,18 @@
 """Config parsing: defaults, strict key checking, overrides, shipped presets."""
 
+import re
+
 import pytest
+import yaml
 
 from hidlr.errors import ParseError, ValidationError
+from hidlr.harness import config
 from hidlr.harness.config import (
     METHODS,
     ExperimentConfig,
     apply_overrides,
     config_from_dict,
+    load_config_dict,
     parse_config,
 )
 
@@ -33,6 +38,25 @@ class TestDefaults:
     def test_null_grouping_names_is_empty(self):
         assert config_from_dict({**MINIMAL, "grouping_names": None}).grouping_names == ()
         assert ExperimentConfig(**MINIMAL, grouping_names=None).grouping_names == ()
+
+    def test_grouping_names_with_named_split(self):
+        cfg = config_from_dict({**MINIMAL, "grouping": "named-split", "grouping_names": ["x"]})
+        assert cfg.grouping_names == ("x",)
+
+    @pytest.mark.parametrize(
+        "grouping, names, message",
+        [
+            ("default", ["x"],
+             "grouping_names needs grouping: named-split, got grouping 'default'"),
+            ("single", ["x", "y"],
+             "grouping_names needs grouping: named-split, got grouping 'single'"),
+            ("named-split", ["y", "x", "y", "x"], "grouping_names repeats x, y"),
+        ],
+        ids=["default", "single", "repeats"],
+    )
+    def test_grouping_names_rejected(self, grouping, names, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            config_from_dict({**MINIMAL, "grouping": grouping, "grouping_names": names})
 
     def test_method_list(self):
         assert METHODS == ("hidlr", "hiulr", "constant", "linear", "cosine", "grid")
@@ -269,3 +293,61 @@ class TestShippedPresets:
         assert cfg.epochs == 200
         assert cfg.hidlr.phi == 8
         assert cfg.problem_params["csv_path"] == "data/california_stand_in.csv"
+
+
+@pytest.fixture(params=["libyaml", "python"])
+def loader(request, monkeypatch):
+    """Each test runs under the module's loader and under the pure-Python fallback."""
+    if request.param == "python":
+        monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    return request.param
+
+
+class TestLoaders:
+    """The libyaml loader and its pure-Python fallback read every input alike."""
+
+    OVERRIDES = ["1e-2", "1.0e-2", "yes", "no", "~", "null", "[a, b]", "0x1F"]
+    BAD_YAML = [
+        ("problem: [ellipse\nmethod: hidlr\n", 2, 7),  # unclosed flow sequence
+        ("problem: ellipse\n\tseed: 0\n", 2, 1),  # tab-indented line
+        ("problem: \u00e9llipse\nmethod: hi\x07dlr\n", 2, 11),  # control character
+    ]
+
+    def test_libyaml_is_used_where_pyyaml_has_it(self):
+        if yaml.__with_libyaml__:
+            assert config._LOADER is yaml.CSafeLoader
+        else:
+            assert config._LOADER is yaml.SafeLoader
+
+    def test_presets_parse_equal(self, repo_root, monkeypatch):
+        paths = sorted((repo_root / "configs").glob("*.yaml"))
+        raw, fast = [load_config_dict(p) for p in paths], [parse_config(p) for p in paths]
+        monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+        # repr tells 1 from 1.0 and True, which == does not
+        assert repr([load_config_dict(p) for p in paths]) == repr(raw)
+        assert [parse_config(p) for p in paths] == fast
+
+    def test_overrides_parse_equal(self, monkeypatch):
+        items = [f"k{i}={text}" for i, text in enumerate(self.OVERRIDES)]
+        fast = apply_overrides({}, items)
+        assert fast == {"k0": "1e-2", "k1": 0.01, "k2": True, "k3": False, "k4": None,
+                        "k5": None, "k6": ["a", "b"], "k7": 31}
+        monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+        assert repr(apply_overrides({}, items)) == repr(fast)
+
+    @pytest.mark.parametrize("text, line, column", BAD_YAML)
+    def test_syntax_error_is_one_line_at_its_position(self, tmp_path, loader, text, line, column):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            parse_config(path)
+        message = str(info.value)
+        assert "\n" not in message
+        assert re.fullmatch(f"{re.escape(str(path))}: line {line}, column {column}: \\S.*", message)
+
+    def test_non_utf8_byte_is_one_line(self, tmp_path, loader):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"problem: ellipse\n# caf\xe9\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2, column 6: "
+                           "byte 0xe9 is not valid UTF-8$"):
+            parse_config(path)

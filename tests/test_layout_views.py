@@ -1,4 +1,4 @@
-"""Parameter layouts: ``carve`` and the problems' views of their flat vectors.
+"""Parameter layouts: ``Carving`` and the problems' views of their flat vectors.
 
 Every piece a problem reads or writes must be a view into the flat vector,
 and the pieces must cover each coordinate exactly once: adding 1 through
@@ -11,7 +11,7 @@ import pytest
 from hidlr.errors import LengthMismatch
 from hidlr.linalg import make_rng
 from hidlr.problems import LoraRegressionProblem, MoeProblem, NamProblem, make_nam_synthetic
-from hidlr.problems.base import carve
+from hidlr.problems.base import Carving
 
 
 def add_one_through(block, pieces):
@@ -25,22 +25,31 @@ class TestCarve:
     def test_pieces_are_views_that_tile_the_block_once(self, lead):
         shapes = [(2, 3), (3,), (), (1, 4, 2)]
         block = np.zeros((*lead, 6 + 3 + 1 + 8))
-        pieces = carve(block, shapes)
+        pieces = Carving(shapes)(block)
         assert [p.shape for p in pieces] == [(*lead, *s) for s in shapes]
         add_one_through(block, pieces)
         assert np.array_equal(block, np.ones_like(block))
 
     def test_pieces_read_consecutive_entries_in_order(self):
         block = np.arange(10.0)
-        a, b, c = carve(block, [(2, 2), (1,), (5,)])
+        a, b, c = Carving([(2, 2), (1,), (5,)])(block)
         assert np.array_equal(a, [[0.0, 1.0], [2.0, 3.0]])
         assert np.array_equal(b, [4.0])
         assert np.array_equal(c, [5.0, 6.0, 7.0, 8.0, 9.0])
 
+    def test_one_carving_serves_every_lead(self):
+        carving = Carving([(2, 3), (3,), ()])
+        for lead in [(), (4,), (2, 4)]:
+            block = np.zeros((*lead, carving.size))
+            pieces = carving(block)
+            assert [p.shape for p in pieces] == [(*lead, 2, 3), (*lead, 3), lead]
+            add_one_through(block, pieces)
+            assert np.array_equal(block, np.ones_like(block))
+
     @pytest.mark.parametrize("shapes", [[(2, 3)], [(2, 3), (5,)], []])
     def test_shapes_that_do_not_fill_the_block_raise(self, shapes):
         with pytest.raises(LengthMismatch, match="entries, not 7"):
-            carve(np.zeros(7), shapes)
+            Carving(shapes)(np.zeros(7))
 
 
 class TestProblemViews:
