@@ -348,6 +348,7 @@ def hidlr_step(
     if not math.isfinite(l0):
         raise NonFiniteLoss(f"training loss at step {t} is {l0}")
     d = direction(opt_state, g, w)
+    del g  # consumed: the probe set and the update need only d
 
     refresh = None
     if cfg is not None and t % cfg.phi == 0:

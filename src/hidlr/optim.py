@@ -110,7 +110,9 @@ def apply_update(
         raise LengthMismatch(
             f"params {w.shape} / direction {dir_vec.shape} vs layout dim {layout.dim}"
         )
-    return w - layout.expand(lr) * dir_vec
+    step = layout.expand(lr)  # a fresh array: the update is built in it
+    step *= dir_vec
+    return np.subtract(w, step, out=step)
 
 
 def scheduler_lr(kind: str, t: int, total: int, eta0: float) -> float:

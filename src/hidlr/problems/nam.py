@@ -93,8 +93,8 @@ class NamProblem(LossProblem):
             [("bias", 1)] + [(f"f{k + 1}", self.per_subnet) for k in range(d)]
         )
         self.name = "nam"
-        # Reused activation workspace: one slot per layer output plus the
-        # output layer's delta, the ReLU mask and the probes' outputs.
+        # Reused activation workspace: one slot per layer output, the ReLU
+        # mask and the probes' outputs.
         self._slots = tuple(f"a{i}" for i in range(len(self.layer_dims) - 1))
         self._buffers = {}
 
@@ -157,8 +157,10 @@ class NamProblem(LossProblem):
         return acts
 
     def _forward(self, w: np.ndarray, x: np.ndarray):
+        """pred, acts and layers; acts[i] is layer i's input (K, B, in), acts[-1] the output."""
         beta, layers = self._unpack(w)
-        acts = self._subnets(np.ascontiguousarray(x.T)[:, :, None], layers, self._slots)
+        inputs = np.ascontiguousarray(x.T)[:, :, None]
+        acts = [inputs, *self._subnets(inputs, layers, self._slots)]
         pred = beta + acts[-1][:, :, 0].sum(axis=0)
         return pred, acts, layers
 
@@ -186,6 +188,7 @@ class NamProblem(LossProblem):
         w = self.check_w(w)
         x, y = self.resolve_batch(batch)
         pred, acts, layers = self._forward(w, x)
+        del x  # the backward reads its transposed copy, acts[0]
         residual = pred - y
         loss = float(np.mean(residual**2))
 
@@ -200,30 +203,22 @@ class NamProblem(LossProblem):
         for i in range(last, -1, -1):
             weight, _ = layers[i]
             gw, gb = grads[i]
-            fan_in, fan_out = weight.shape[1:]
-            if i == last:
-                dz = da
-            else:
-                mask = np.greater(acts[i], 0.0, out=self._buffer("mask", acts[i].shape, bool))
-                dz = np.multiply(da, mask, out=da)
-            a_in = np.ascontiguousarray(x.T)[:, :, None] if i == 0 else acts[i - 1]
-            gw[...] = np.matmul(a_in.transpose(0, 2, 1), dz)  # (K, in, out)
+            fan_out = weight.shape[2]
+            dz = da if i == last else np.multiply(da, mask, out=da)
+            gw[...] = np.matmul(acts[i].transpose(0, 2, 1), dz)  # (K, in, out)
             if fan_out == 1:
                 # sum adds one column pairwise, where einsum would add in sequence
                 gb[...] = dz.sum(axis=1)
             else:
                 np.einsum("kbh->kh", dz, out=gb)
             if i > 0:
-                # the output layer's delta has its own slot; a hidden layer's
-                # overwrites its own activations, no longer needed past the mask
-                slot = self._buffer(
-                    "delta" if i == last else self._slots[i], (*dz.shape[:2], fan_in)
-                )
+                # past its gradient and mask, layer i's input is dead: its slot takes the delta
+                mask = np.greater(acts[i], 0.0, out=self._buffer("mask", acts[i].shape, bool))
                 wt = weight.transpose(0, 2, 1)
                 if fan_out == 1:
-                    da = np.einsum("kbi,kih->kbh", dz, wt, out=slot)
+                    da = np.einsum("kbi,kih->kbh", dz, wt, out=acts[i])
                 else:
-                    da = np.matmul(dz, np.ascontiguousarray(wt), out=slot)
+                    da = np.matmul(dz, np.ascontiguousarray(wt), out=acts[i])
         return loss, g
 
     def probe_losses(self, w, d, layout, xi, batch=None, l0=None):

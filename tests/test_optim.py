@@ -131,6 +131,25 @@ class TestApplyUpdate:
         with pytest.raises(LengthMismatch):
             apply_update(np.ones(4), layout, np.array([0.1]), np.ones(4))
 
+    @pytest.mark.parametrize("kind", ["sgd", "adamw"])
+    @pytest.mark.parametrize("k", [1, 2, 11])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_bit_equal_to_broadcast_step_in_a_new_array(self, kind, k, seed):
+        rng = make_rng(seed)
+        layout = GroupLayout.from_sizes(
+            [(f"g{i}", int(n)) for i, n in enumerate(rng.integers(1, 40, k))]
+        )
+        w = rng.standard_normal(layout.dim)
+        state = OptimizerState.create(kind, layout.dim)
+        d = direction(state, rng.standard_normal(layout.dim), w)
+        lr = rng.uniform(1e-4, 1.0, k)
+        kept = [w.copy(), d.copy(), lr.copy()]
+        out = apply_update(w, layout, lr, d)
+        assert out.tobytes() == (w - layout.expand(lr) * d).tobytes()
+        assert not np.shares_memory(out, w) and not np.shares_memory(out, d)
+        for before, after in zip(kept, [w, d, lr]):
+            assert before.tobytes() == after.tobytes()
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_groups_do_not_mix(self, seed):

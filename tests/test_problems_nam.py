@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from hidlr.controller import HiDlrConfig, hidlr_step, initial_lr_state
 from hidlr.errors import DimensionMismatch, ValidationError
 from hidlr.linalg import make_rng
+from hidlr.optim import OptimizerState
 from hidlr.problems import NAM_FEATURE_FNS, NamProblem, build_problem, make_nam_synthetic
 from hidlr.problems.nam import NAM_N_FEATURES, NAM_N_ROWS
 
@@ -311,3 +313,38 @@ class TestWorkspace:
         ws_problem.probe_losses(w, d, layout, xi, None)
         ws_problem.predict(w, ws_problem.train.features)
         assert {name: buf.nbytes for name, buf in ws_problem._buffers.items()} == sizes
+
+    @pytest.mark.parametrize("name", sorted(WORKSPACE_PROBLEMS))
+    def test_workspace_is_layer_outputs_one_mask_and_probe_outputs(self, name):
+        problem = WORKSPACE_PROBLEMS[name]()  # fresh: an empty workspace
+        w, d, batch = ws_point(problem, 10)
+        problem.loss_and_grad(w, batch)
+        problem.probe_losses(w, d, problem.default_layout, ws_xi(problem, 1e-3), batch)
+        rows = problem.n_features * batch.size
+        # backward deltas reuse the layer-input slots: no delta slot of their own
+        expected = {f"a{i}": (np.float64, rows * width * 8)
+                    for i, width in enumerate(problem.layer_dims[1:])}
+        expected["mask"] = (np.bool_, rows * max(problem.layer_dims[1:-1]))
+        expected["probe_out"] = (np.float64, 4 * batch.size * 8)
+        got = {key: (buf.dtype.type, buf.nbytes) for key, buf in problem._buffers.items()}
+        assert got == expected
+
+    def test_warm_step_holds_under_three_parameter_vectors(self):
+        import tracemalloc
+
+        problem = build_problem("nam-synthetic", make_rng(0), {})
+        layout = problem.default_layout
+        w, _, batch = ws_point(problem, 11)
+        cfg = HiDlrConfig(phi=2, eta0=1e-3)
+        lr_state = initial_lr_state(cfg, layout.k)
+        state = OptimizerState.create("sgd", problem.dim)
+        w = hidlr_step(problem, w, lr_state, state, cfg, layout, batch, 0).w  # warm, refreshes
+        tracemalloc.start()
+        try:
+            res = hidlr_step(problem, w, lr_state, state, cfg, layout, batch, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.refresh is None
+        # the gradient is freed once the direction exists and the update is one array
+        assert peak < 3 * problem.dim * 8
