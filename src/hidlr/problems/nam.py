@@ -58,6 +58,13 @@ def make_nam_synthetic(rng: np.random.Generator) -> Dataset:
     return Dataset(x, y, split="full")
 
 
+def _with_ones(column: np.ndarray) -> np.ndarray:
+    """(K, B, 2) first-layer input: the (K, B, 1) feature column, then a column of ones."""
+    inputs = np.ones(column.shape[:2] + (2,))
+    inputs[:, :, :1] = column
+    return inputs
+
+
 class NamProblem(LossProblem):
     """Mean-squared-error additive model with per-feature MLP sub-networks.
 
@@ -84,9 +91,10 @@ class NamProblem(LossProblem):
             raise DimensionMismatch(f"{d} dataset features but {n_features} sub-networks")
         self.n_features = d
         self.layer_dims = [1, *(check_int("hidden_sizes entry", h) for h in hidden_sizes), 1]
-        # One sub-network's flat block: (in, out) weight then (out,) bias, per layer.
+        # One sub-network's flat block: per layer an (in + 1, out) block, the
+        # weight rows then the bias row.
         dims = self.layer_dims
-        self._carving = Carving([s for i, o in zip(dims[:-1], dims[1:]) for s in ((i, o), (o,))])
+        self._carving = Carving([(i + 1, o) for i, o in zip(dims[:-1], dims[1:])])
         self.per_subnet = self._carving.size
         self.dim = 1 + d * self.per_subnet
         self.default_layout = GroupLayout.from_sizes(
@@ -100,14 +108,14 @@ class NamProblem(LossProblem):
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         w = np.zeros(self.dim)
-        for weight, _ in self._unpack(w)[1]:  # He init by fan-in; biases stay zero
+        for block in self._unpack(w)[1]:  # He init by fan-in; biases stay zero
+            weight = block[:, :-1]
             weight[...] = rng.standard_normal(weight.shape) * np.sqrt(2.0 / weight.shape[1])
         return w
 
     def _layers(self, s: np.ndarray):
-        """(weight (N, in, out), bias (N, out)) views per layer of N stacked subnets."""
-        pieces = self._carving(s)
-        return list(zip(pieces[::2], pieces[1::2]))
+        """(N, in + 1, out) views per layer of N stacked subnets: weight rows, then the bias row."""
+        return self._carving(s)
 
     def _unpack(self, w: np.ndarray):
         return w[0], self._layers(w[1:].reshape(self.n_features, self.per_subnet))
@@ -132,24 +140,29 @@ class NamProblem(LossProblem):
         """Post-activations of N stacked sub-networks, layer i in slot ``names[i]``.
 
         Item-major activations (N, B, width) so each layer is one batched
-        matmul; ``a`` is (N, B, 1), or (1, B, 1) to feed one input to all N.
-        The fan-in-1 first layer is a rank-1 product, written by ``einsum``
-        without a broadcast temporary. ReLU is applied in place and
-        post-activations are kept: they double as the backward mask
-        (max(z, 0) > 0 iff z > 0) and as the layer inputs.
+        matmul; ``a`` is (N, B, 2), the feature then a column of ones, or
+        (1, B, 2) to feed one input to all N. The first layer is one matmul
+        with its whole block, x·w + 1·b, which adds the bias in the same
+        rounding as a separate add. A fan-in-1 layer is a rank-1 product,
+        written by ``einsum`` without a broadcast temporary.
+        ReLU is applied in place and post-activations are kept: they double
+        as the backward mask (max(z, 0) > 0 iff z > 0) and as the layer inputs.
         """
-        n, rows = layers[0][0].shape[0], a.shape[1]
+        n, rows = layers[0].shape[0], a.shape[1]
         acts = []
         last = len(layers) - 1
-        for i, (weight, bias) in enumerate(layers):
-            z = self._buffer(names[i], (n, rows, weight.shape[2]))
-            if weight.shape[1] != 1:
-                np.matmul(a, weight, out=z)
-            elif a.shape[0] == n:
-                np.einsum("nbi,nih->nbh", a, weight, out=z)
+        for i, block in enumerate(layers):
+            weight, bias = block[:, :-1], block[:, -1]
+            z = self._buffer(names[i], (n, rows, block.shape[2]))
+            if i == 0 and rows > 1:
+                np.matmul(a, block, out=z)
             else:
-                np.einsum("bi,nih->nbh", a[0], weight, out=z)
-            z += bias[:, None, :]
+                # fan-in 1, or a one-row first layer, whose x·w + 1·b gemv rounds otherwise
+                if weight.shape[1] == 1:
+                    np.einsum("kbi,kih->kbh", a[:, :, :1], weight, out=z)
+                else:
+                    np.matmul(a, weight, out=z)
+                z += bias[:, None, :]
             if i < last:
                 np.maximum(z, 0.0, out=z)
             acts.append(z)
@@ -159,8 +172,8 @@ class NamProblem(LossProblem):
     def _forward(self, w: np.ndarray, x: np.ndarray):
         """pred, acts and layers; acts[i] is layer i's input (K, B, in), acts[-1] the output."""
         beta, layers = self._unpack(w)
-        inputs = np.ascontiguousarray(x.T)[:, :, None]
-        acts = [inputs, *self._subnets(inputs, layers, self._slots)]
+        column = np.ascontiguousarray(x.T)[:, :, None]  # (K, B, 1), read by the backward
+        acts = [column, *self._subnets(_with_ones(column), layers, self._slots)]
         pred = beta + acts[-1][:, :, 0].sum(axis=0)
         return pred, acts, layers
 
@@ -201,11 +214,10 @@ class NamProblem(LossProblem):
         da = np.broadcast_to(dpred[None, :, None], acts[-1].shape)  # (K, B, 1)
         last = len(layers) - 1
         for i in range(last, -1, -1):
-            weight, _ = layers[i]
-            gw, gb = grads[i]
+            weight, gw, gb = layers[i][:, :-1], grads[i][:, :-1], grads[i][:, -1]
             fan_out = weight.shape[2]
             dz = da if i == last else np.multiply(da, mask, out=da)
-            gw[...] = np.matmul(acts[i].transpose(0, 2, 1), dz)  # (K, in, out)
+            np.matmul(acts[i].transpose(0, 2, 1), dz, out=gw)  # (K, in, out)
             if fan_out == 1:
                 # sum adds one column pairwise, where einsum would add in sequence
                 gb[...] = dz.sum(axis=1)
@@ -229,13 +241,16 @@ class NamProblem(LossProblem):
         through the same layer loop, and the bias probes shift the base sum.
         The prediction is still summed over all K outputs in order, so each
         loss is bit-identical to a full forward at the probed parameters.
-        Without ``l0`` the anchor is the loss of that base forward.
+        Without ``l0`` the anchor is the loss of that base forward. A one-row
+        batch takes the default: numpy sums its K outputs pairwise, not in order.
         """
-        if layout != self.default_layout:
+        rows = self.train.n if batch is None else np.size(batch)
+        if layout != self.default_layout or rows == 1:
             return super().probe_losses(w, d, layout, xi, batch, l0)
         w, d = self.check_w(w), self.check_w(d)
         x, y = self.resolve_batch(batch)
-        inputs = np.ascontiguousarray(x.T)[:, :, None]  # (K, B, 1)
+        inputs = _with_ones(x.T[:, :, None])  # (K, B, 2)
+        del x  # the probes read ``inputs``
         beta, layers = self._unpack(w)
         outs = self._subnets(inputs, layers, self._slots)[-1][:, :, 0]  # (K, B)
         out = np.empty(xi.shape)

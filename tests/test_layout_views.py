@@ -56,10 +56,23 @@ class TestProblemViews:
     def test_nam_layers_cover_every_subnet_weight_once(self):
         problem = NamProblem(make_nam_synthetic(make_rng(0)), hidden_sizes=[4, 3])
         w = np.zeros(problem.dim)
-        _, layers = problem._unpack(w)
-        add_one_through(w, [piece for layer in layers for piece in layer])
+        _, blocks = problem._unpack(w)
+        dims = problem.layer_dims
+        assert [b.shape for b in blocks] == [
+            (problem.n_features, i + 1, o) for i, o in zip(dims[:-1], dims[1:])
+        ]
+        add_one_through(w, [block[:, -1] for block in blocks])
+        # each layer's (in, out) weight, then its (out,) bias, in one sub-network's block
+        is_bias, off = np.zeros(problem.per_subnet, bool), 0
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            off += fan_in * fan_out
+            is_bias[off : off + fan_out] = True
+            off += fan_out
+        assert off == problem.per_subnet
         assert w[0] == 0.0  # the bias is the scalar ahead of the sub-network blocks
-        assert np.array_equal(w[1:], np.ones(problem.dim - 1))
+        assert np.array_equal(w[1:], np.tile(is_bias, problem.n_features).astype(float))
+        add_one_through(w, blocks)
+        assert np.array_equal(w[1:], np.tile(is_bias + 1.0, problem.n_features))
 
     def test_moe_views_cover_the_vector_once(self):
         problem = MoeProblem(make_rng(0), n_train=10, n_test=10)

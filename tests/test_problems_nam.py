@@ -130,6 +130,28 @@ class TestNamProblem:
 # every batch sum as ``sum``. The workspace must give the same bits.
 
 
+def ref_spec(problem):
+    """(offset, in, out) of each layer in one sub-network's block, from the dims alone."""
+    spec, off = [], 0
+    for fan_in, fan_out in zip(problem.layer_dims[:-1], problem.layer_dims[1:]):
+        spec.append((off, fan_in, fan_out))
+        off += fan_in * fan_out + fan_out
+    return spec
+
+
+def ref_layers(problem, s):
+    """(weight (N, in, out), bias (N, out)) per layer of stacked blocks ``s`` (N, per_subnet)."""
+    return [
+        (s[:, off : off + fan_in * fan_out].reshape(-1, fan_in, fan_out),
+         s[:, off + fan_in * fan_out : off + fan_in * fan_out + fan_out])
+        for off, fan_in, fan_out in ref_spec(problem)
+    ]
+
+
+def ref_unpack(problem, w):
+    return w[0], ref_layers(problem, w[1:].reshape(problem.n_features, problem.per_subnet))
+
+
 def ref_subnets(a, layers):
     acts = []
     last = len(layers) - 1
@@ -147,7 +169,7 @@ def ref_subnets(a, layers):
 
 
 def ref_forward(problem, w, x):
-    beta, layers = problem._unpack(w)
+    beta, layers = ref_unpack(problem, w)
     acts = ref_subnets(np.ascontiguousarray(x.T)[:, :, None], layers)
     return beta + acts[-1][:, :, 0].sum(axis=0), acts
 
@@ -155,18 +177,14 @@ def ref_forward(problem, w, x):
 def ref_loss_and_grad(problem, w, batch):
     x, y = problem.resolve_batch(batch)
     pred, acts = ref_forward(problem, w, x)
-    _, layers = problem._unpack(w)
+    _, layers = ref_unpack(problem, w)
     residual = pred - y
     g = np.zeros(problem.dim)
     gs = g[1:].reshape(problem.n_features, problem.per_subnet)
     dpred = 2.0 * residual / y.shape[0]
     g[0] = dpred.sum()
     da = np.broadcast_to(dpred[None, :, None], acts[-1].shape)
-    # (offset, in, out) of each layer in one sub-network's block, from the dims alone
-    spec, off = [], 0
-    for fan_in, fan_out in zip(problem.layer_dims[:-1], problem.layer_dims[1:]):
-        spec.append((off, fan_in, fan_out))
-        off += fan_in * fan_out + fan_out
+    spec = ref_spec(problem)
     for i in range(len(layers) - 1, -1, -1):
         weight, _ = layers[i]
         dz = da if i == len(layers) - 1 else da * (acts[i] > 0)
@@ -177,15 +195,17 @@ def ref_loss_and_grad(problem, w, batch):
         gs[:, off : off + n_w] = gw.reshape(problem.n_features, n_w)
         gs[:, off + n_w : off + n_w + fan_out] = dz.sum(axis=1)
         if i > 0:
+            # wᵀ copied as the workspace copies it: on a transposed view, OpenBLAS
+            # computes a partial 4-row block with another kernel (batch 1, 3, ...)
             wt = weight.transpose(0, 2, 1)
-            da = dz * wt if fan_out == 1 else np.matmul(dz, wt)
+            da = dz * wt if fan_out == 1 else np.matmul(dz, np.ascontiguousarray(wt))
     return float(np.mean(residual**2)), g
 
 
 def ref_anchored_probes(problem, w, d, xi, batch):
     x, y = problem.resolve_batch(batch)
     inputs = np.ascontiguousarray(x.T)[:, :, None]
-    beta, layers = problem._unpack(w)
+    beta, layers = ref_unpack(problem, w)
     outs = ref_subnets(inputs, layers)[-1][:, :, 0]
     out = np.empty(xi.shape)
     total = outs.sum(axis=0)
@@ -197,7 +217,7 @@ def ref_anchored_probes(problem, w, d, xi, batch):
     mixed = outs.copy()
     for k in range(problem.n_features):
         moved = s[k] - xi[k + 1][:, None] * ds[k]
-        probed = ref_subnets(inputs[k : k + 1], problem._layers(moved))[-1]
+        probed = ref_subnets(inputs[k : k + 1], ref_layers(problem, moved))[-1]
         for i in range(xi.shape[1]):
             mixed[k] = probed[i, :, 0]
             out[k + 1, i] = np.mean((beta + mixed.sum(axis=0) - y) ** 2)
@@ -237,7 +257,7 @@ def ws_xi(problem, scale):
 
 class TestWorkspace:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("batch_size", [256, 100, None])
+    @pytest.mark.parametrize("batch_size", [256, 100, 3, 1, None])
     def test_loss_and_grad_bit_equal_to_broadcast(self, ws_problem, seed, batch_size):
         w, _, batch = ws_point(ws_problem, seed, batch_size)
         loss, g = ws_problem.loss_and_grad(w, batch)
@@ -248,7 +268,7 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0])
-    @pytest.mark.parametrize("batch_size", [256, None])
+    @pytest.mark.parametrize("batch_size", [256, 3, 1, None])
     def test_probe_table_bit_equal_to_broadcast(self, ws_problem, seed, scale, batch_size):
         w, d, batch = ws_point(ws_problem, seed, batch_size)
         xi = ws_xi(ws_problem, scale)
