@@ -1,8 +1,8 @@
 """Curvature-probed per-group learning rates.
 
 Every ``phi`` steps the controller perturbs the parameters along the
-current update direction, one group at a time, at four scaled rates
-(-2, -1, 1, 2 times the group's current rate), measures the loss change,
+current update direction, one group at a time, at PROBE_MULTIPLIERS
+(-2, -1, 1, 2) times the group's current rate, measures the loss change,
 and fits dL = 0.5*a*xi^2 - b*xi per group. When every fitted curvature and
 slope is positive and the fit explains the probes well (R^2 above a
 threshold), each group's rate moves toward its refresh target via an
@@ -36,9 +36,11 @@ from .linalg import r2_score
 from .optim import OptimizerState, apply_update, direction
 from .problems.base import GroupLayout, LossProblem
 
+# The probe design's only statement; its users read these names from this
+# module when called. Fit design at u = PROBE_MULTIPLIERS: columns 0.5*u^2
+# and -u, orthogonal for a symmetric set, here with squared norms 8.5 and 10
+# (the exact origin point adds a zero row).
 PROBE_MULTIPLIERS = np.array([-2.0, -1.0, 1.0, 2.0])
-# Fit design at u = PROBE_MULTIPLIERS: columns 0.5*u^2 and -u, orthogonal,
-# with squared norms 8.5 and 10 (the exact origin point adds a zero row).
 FIT_DESIGN = np.column_stack([0.5 * PROBE_MULTIPLIERS**2, -PROBE_MULTIPLIERS])
 FIT_NORMS = np.sum(FIT_DESIGN**2, axis=0)
 GATING_MODES = ("global", "per-group")
@@ -72,9 +74,9 @@ class HiDlrConfig:
             raise ValidationError(
                 f"r2_threshold must be in (0, 1], got {self.r2_threshold}"
             )
-        if not 0.0 < self.eta_min < self.eta_max:
+        if not 0.0 < self.eta_min < self.eta_max < math.inf:
             raise ValidationError(
-                f"need 0 < eta_min < eta_max, got [{self.eta_min}, {self.eta_max}]"
+                f"need 0 < eta_min < eta_max < inf, got [{self.eta_min}, {self.eta_max}]"
             )
         is_list = isinstance(self.eta0, (list, tuple))
         rates = [check_real("eta0", e) for e in (self.eta0 if is_list else [self.eta0])]
@@ -84,8 +86,10 @@ class HiDlrConfig:
             if not (math.isfinite(rate) and rate > 0.0):
                 raise ValidationError(f"eta0 must be a finite number > 0, got {rate}")
         self.eta0 = rates if is_list else rates[0]
-        if not self.probe_floor > 0.0:
-            raise ValidationError(f"probe_floor must be positive, got {self.probe_floor}")
+        if not 0.0 < self.probe_floor < math.inf:
+            raise ValidationError(
+                f"probe_floor must be a finite number > 0, got {self.probe_floor}"
+            )
         if self.gating not in GATING_MODES:
             raise ValidationError(
                 f"gating must be one of {GATING_MODES}, got {self.gating!r}"
@@ -118,10 +122,11 @@ def initial_lr_state(cfg: HiDlrConfig, k: int) -> LrState:
 
 @dataclass
 class ProbeMatrix:
-    """4K one-group-at-a-time rate perturbations, group-major, v-ordered.
+    """nK one-group-at-a-time rate perturbations, n = len(PROBE_MULTIPLIERS).
 
-    Probe j = 4k + i moves group k alone by PROBE_MULTIPLIERS[i] times its
-    rate; the (K, 4) table of those step scales is all a probe set needs.
+    Probe j = nk + i (group-major) moves group k alone by
+    PROBE_MULTIPLIERS[i] times its rate; the (K, n) table of those step
+    scales is all a probe set needs.
     """
 
     eta_base: np.ndarray  # (K,) rates the probes were scaled by (after floor)
@@ -131,16 +136,9 @@ class ProbeMatrix:
     def k(self) -> int:
         return self.eta_base.shape[0]
 
-    def group_of_row(self, j: int) -> int:
-        return j // len(PROBE_MULTIPLIERS)
-
     def xi_table(self) -> np.ndarray:
-        """(K, 4) signed step scales: row k is PROBE_MULTIPLIERS * eta_base[k]."""
+        """(K, n) signed step scales: row k is PROBE_MULTIPLIERS * eta_base[k]."""
         return PROBE_MULTIPLIERS[None, :] * self.eta_base[:, None]
-
-    def xi(self) -> np.ndarray:
-        """Signed step scale of each probe, flat and group-major."""
-        return self.xi_table().ravel()
 
 
 @dataclass
@@ -149,11 +147,11 @@ class QuadraticFit:
 
     a: np.ndarray  # (K,) curvature estimates g_(k)^T H_kk g_(k)
     b: np.ndarray  # (K,) slope estimates G_(k)^T g_(k)
-    r2_group: np.ndarray  # (K,) fit quality over each group's four probes
-    r2_pooled: float  # fit quality over all 4K probes
-    xi: np.ndarray  # (4K,) probe scales
-    delta_l: np.ndarray  # (4K,) measured loss changes
-    predicted: np.ndarray  # (4K,) model's loss changes at xi
+    r2_group: np.ndarray  # (K,) fit quality over each group's n probes
+    r2_pooled: float  # fit quality over all nK probes
+    xi: np.ndarray  # (nK,) probe scales, group-major
+    delta_l: np.ndarray  # (nK,) measured loss changes
+    predicted: np.ndarray  # (nK,) model's loss changes at xi
 
 
 @dataclass
@@ -189,12 +187,12 @@ def evaluate_probes(
     batch: Optional[np.ndarray],
     l0: Optional[float],
 ) -> np.ndarray:
-    """Loss change at each probed displacement; 4K loss evaluations, w untouched.
+    """Loss change at each probed displacement, flat and group-major; w untouched.
 
     ``l0`` is the already-computed loss at ``w`` on the same batch. The
     losses come from one ``problem.probe_losses`` call, which with
     ``l0=None`` also computes the anchor, at one more loss evaluation. All
-    4K probes are evaluated even when one is non-finite; then NonFiniteLoss
+    nK probes are evaluated even when one is non-finite; then NonFiniteLoss
     names the first such probe row, or the anchor if only it is non-finite.
     """
     w = np.asarray(w, dtype=np.float64)
@@ -203,33 +201,33 @@ def evaluate_probes(
         raise LengthMismatch(
             f"params {w.shape} / direction {dir_vec.shape} vs layout dim {layout.dim}"
         )
-    l0, losses = problem.probe_losses(w, dir_vec, layout, probe.xi_table(), batch, l0)
+    xi = probe.xi_table()
+    l0, losses = problem.probe_losses(w, dir_vec, layout, xi, batch, l0)
     losses = losses.ravel()
     finite = np.isfinite(losses)
     if not finite.all():
         j = int(np.argmin(finite))
-        raise NonFiniteLoss(
-            f"probe row {j} (group {probe.group_of_row(j)}) gave loss {losses[j]}"
-        )
+        raise NonFiniteLoss(f"probe row {j} (group {j // xi.shape[1]}) gave loss {losses[j]}")
     if not math.isfinite(l0):
         raise NonFiniteLoss(f"probe anchor gave loss {l0}")
     return losses - l0
 
 
 def fit_diag_quadratic(probe: ProbeMatrix, delta_l: np.ndarray) -> QuadraticFit:
-    """Per-group parabola through four probes and the exact (0, 0), in closed form.
+    """Per-group parabola through n probes and the exact (0, 0), in closed form.
 
     In the normalized coordinate u = xi/eta the design columns 0.5*u^2 and
     -u are orthogonal (FIT_DESIGN), so each group's least-squares
     coefficients are its responses projected on each column divided by the
-    column's squared norm. All K groups are solved by one (K, 4) @ (4, 2)
+    column's squared norm. All K groups are solved by one (K, n) @ (n, 2)
     product (the origin row adds nothing to it), then rescaled by eta; this
     stays well-conditioned for any rate magnitude.
     """
-    k = probe.k
+    xi = probe.xi_table()
+    k, n = xi.shape
     delta_l = np.asarray(delta_l, dtype=np.float64)
-    if delta_l.shape != (4 * k,):
-        raise SingularFit(f"expected {4 * k} probe responses, got {delta_l.shape}")
+    if delta_l.shape != (xi.size,):
+        raise SingularFit(f"expected {xi.size} probe responses, got {delta_l.shape}")
     if not np.isfinite(delta_l).all():
         raise NonFiniteLoss("probe responses contain NaN/Inf")
     for g, scale in enumerate(probe.eta_base.tolist()):
@@ -237,12 +235,12 @@ def fit_diag_quadratic(probe: ProbeMatrix, delta_l: np.ndarray) -> QuadraticFit:
             raise SingularFit(f"group {g} probe scale {scale} is unusable")
 
     eta = probe.eta_base
-    responses = delta_l.reshape(k, 4)
+    responses = delta_l.reshape(k, n)
     # coef fits dL = 0.5*a'*u^2 - b'*u with u = xi/eta
     coef = responses @ FIT_DESIGN / FIT_NORMS  # (K, 2)
-    pred = coef @ FIT_DESIGN.T  # (K, 4)
+    pred = coef @ FIT_DESIGN.T  # (K, n)
     ss_res = ((responses - pred) ** 2).sum(axis=1)
-    centered = responses - (responses.sum(axis=1) / 4)[:, None]
+    centered = responses - (responses.sum(axis=1) / n)[:, None]
     ss_tot = (centered**2).sum(axis=1)
     # R^2 is 0.0 for (numerically) constant responses, as in r2_score
     unexplained = np.divide(ss_res, ss_tot, out=np.ones(k), where=ss_tot >= 1e-30)
@@ -252,7 +250,7 @@ def fit_diag_quadratic(probe: ProbeMatrix, delta_l: np.ndarray) -> QuadraticFit:
         b=coef[:, 1] / eta,
         r2_group=1.0 - unexplained,
         r2_pooled=r2_score(delta_l, predicted),
-        xi=probe.xi(),
+        xi=xi.ravel(),
         delta_l=delta_l,
         predicted=predicted,
     )
@@ -390,10 +388,11 @@ def forward_pass_budget(
     """Training-loss evaluations for T steps with refreshes at t % phi == 0.
 
     Each step costs one loss call; each refresh (steps 0, phi, 2*phi, ...)
-    adds 4K probe calls, plus f = ``fresh_probe_batch`` = 1 call to anchor
-    the probes on a freshly drawn batch, giving T + (4K + f) * ceil(T / phi).
-    A probe counts as one call however ``probe_losses`` computes it, and a
-    refresh makes all 4K of them even when one is non-finite, so the count
+    adds nK probe calls, n = len(PROBE_MULTIPLIERS), plus f =
+    ``fresh_probe_batch`` = 1 call to anchor the probes on a freshly drawn
+    batch, giving T + (nK + f) * ceil(T / phi). A probe counts as one call
+    however ``probe_losses`` computes it, and a refresh makes all nK of
+    them even when one is non-finite, so the count
     is exact for every run. Gradient passes and test-set evaluations are not
     included.
     """
@@ -406,4 +405,4 @@ def forward_pass_budget(
             f"fresh_probe_batch must be 0 or 1, got {fresh_probe_batch}"
         )
     refreshes = -(-total_steps // phi)
-    return total_steps + (4 * k + fresh_probe_batch) * refreshes
+    return total_steps + (len(PROBE_MULTIPLIERS) * k + fresh_probe_batch) * refreshes

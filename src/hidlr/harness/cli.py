@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..controller import PROBE_MULTIPLIERS, forward_pass_budget
+from .. import controller
 from ..errors import HidlrError, ParseError, ValidationError
 from ..optim import OptimizerState, direction
 from ..problems import PROBLEM_NAMES
@@ -98,7 +98,7 @@ def _cmd_diag(cfg) -> int:
     d = direction(opt, problem.grad(w), w)
 
     eta0 = cfg.hidlr.initial_lr(layout.k)
-    eta_grid = sorted(float(v) * float(eta0.max()) for v in PROBE_MULTIPLIERS)
+    eta_grid = sorted(float(v) * float(eta0.max()) for v in controller.PROBE_MULTIPLIERS)
     rows = taylor_diagnostics(problem, w, d, layout, eta_grid)
     r2 = pooled_r2_from_rows(rows)
 
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
     if args.command == "budget":
         try:
             print(
-                forward_pass_budget(
+                controller.forward_pass_budget(
                     args.steps, args.groups, args.phi, int(args.fresh_probe_batch)
                 )
             )

@@ -85,8 +85,8 @@ class ExperimentConfig:
             if getattr(self, name) is not None:
                 setattr(self, name, check_int(name, getattr(self, name)))
         self.base_lr = check_real("base_lr", self.base_lr)
-        if not self.base_lr > 0:
-            raise ValidationError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.base_lr < math.inf:
+            raise ValidationError(f"base_lr must be a finite number > 0, got {self.base_lr}")
         if self.grid is not None:
             try:
                 grid = tuple(self.grid)
@@ -95,8 +95,10 @@ class ExperimentConfig:
                     f"grid must be a list of rates, got {self.grid!r}"
                 ) from None
             self.grid = tuple(check_real("grid", x) for x in grid)
-            if not self.grid or not all(x > 0 for x in self.grid):
-                raise ValidationError("grid must be a nonempty list of positive rates")
+            if not self.grid or not all(0 < x < math.inf for x in self.grid):
+                raise ValidationError(
+                    f"grid must be a nonempty list of finite rates > 0, got {list(self.grid)}"
+                )
         self.optimizer_params = {
             key: _check_optimizer_param(key, value)
             for key, value in self.optimizer_params.items()

@@ -1,6 +1,6 @@
 """Truth-versus-prediction tables for the fitted per-group quadratics.
 
-For each group the fit is anchored by the standard four probes, then the
+For each group the fit is anchored by the standard probe set, then the
 measured loss change at every requested scale is tabulated next to the
 model's prediction 0.5*a*xi^2 - b*xi. On a quadratic loss the two columns
 agree to rounding error; on real problems their agreement (pooled R^2) is
@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..controller import build_probe_matrix, evaluate_probes, fit_diag_quadratic
+from .. import controller
 from ..errors import ValidationError
 from ..linalg import r2_score
 from ..problems.base import GroupLayout, LossProblem
@@ -30,20 +30,21 @@ def taylor_diagnostics(
     """Rows of (group, xi, measured dL, predicted dL) over ``eta_grid``.
 
     The reference parabola per group comes from the standard probe set
-    scaled so its widest probe (2x) reaches the largest grid magnitude;
-    a grid equal to the four standard multiples of some rate therefore
-    reproduces the fit's own residuals. The measured losses come from one
-    ``probe_losses`` call with every group probed at every grid scale.
+    (``controller.PROBE_MULTIPLIERS``) scaled so its widest probe reaches
+    the largest grid magnitude; a grid equal to the standard multiples of
+    some rate therefore reproduces the fit's own residuals. The measured
+    losses come from one ``probe_losses`` call with every group probed at
+    every grid scale.
     """
     eta_grid = [float(x) for x in eta_grid]
     if not eta_grid:
         raise ValidationError("eta_grid must be nonempty")
-    eta_ref = max(abs(x) for x in eta_grid) / 2.0
+    eta_ref = max(abs(x) for x in eta_grid) / np.abs(controller.PROBE_MULTIPLIERS).max()
 
-    probe = build_probe_matrix(np.full(layout.k, eta_ref))
+    probe = controller.build_probe_matrix(np.full(layout.k, eta_ref))
     l0 = problem.loss(w, batch)
-    deltas = evaluate_probes(problem, w, dir_vec, layout, probe, batch, l0)
-    fit = fit_diag_quadratic(probe, deltas)
+    deltas = controller.evaluate_probes(problem, w, dir_vec, layout, probe, batch, l0)
+    fit = controller.fit_diag_quadratic(probe, deltas)
     xi_table = np.tile(eta_grid, (layout.k, 1))
     _, losses = problem.probe_losses(w, dir_vec, layout, xi_table, batch, l0)
 

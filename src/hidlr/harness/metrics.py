@@ -16,6 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .. import controller
+
 METRICS_FILE = "metrics.jsonl"
 PROBES_FILE = "probes.jsonl"
 SUMMARY_FILE = "summary.json"
@@ -57,14 +59,16 @@ def _number(value: float) -> str:
 class RefreshLog:
     """Every refresh of one run as preallocated columns, one row per refresh.
 
-    Row i holds refresh i: its ``4K`` probes (``xi``, ``delta_l``,
-    ``predicted``), its per-group fit and rates, and ``t``, ``accepted``,
-    ``reason`` and ``r2_pooled``. A refresh whose probe set failed has no
-    fit: ``fitted`` is False and its fit columns stay NaN.
+    Row i holds refresh i: its nK probes (``xi``, ``delta_l``,
+    ``predicted``, group-major, n = ``len(controller.PROBE_MULTIPLIERS)``),
+    its per-group fit and rates, and ``t``, ``accepted``, ``reason`` and
+    ``r2_pooled``. A refresh whose probe set failed has no fit: ``fitted``
+    is False and its fit columns stay NaN.
     """
 
     def __init__(self, capacity: int, group_names: Sequence[str]):
         k = len(group_names)
+        width = len(controller.PROBE_MULTIPLIERS) * k
         self.group_names = tuple(group_names)
         self.n = 0
         self.t = np.zeros(capacity, dtype=np.int64)
@@ -72,9 +76,9 @@ class RefreshLog:
         self.fitted = np.zeros(capacity, dtype=bool)
         self.reason = [""] * capacity
         self.r2_pooled = np.full(capacity, np.nan)
-        self.xi = np.full((capacity, 4 * k), np.nan)
-        self.delta_l = np.full((capacity, 4 * k), np.nan)
-        self.predicted = np.full((capacity, 4 * k), np.nan)
+        self.xi = np.full((capacity, width), np.nan)
+        self.delta_l = np.full((capacity, width), np.nan)
+        self.predicted = np.full((capacity, width), np.nan)
         self.a = np.full((capacity, k), np.nan)
         self.b = np.full((capacity, k), np.nan)
         self.r2_group = np.full((capacity, k), np.nan)
@@ -108,6 +112,7 @@ class RefreshLog:
     def lines(self) -> Iterator[str]:
         """The ``probes.jsonl`` lines: each refresh's probes, then its decision."""
         names = [json.dumps(name) for name in self.group_names]
+        n = self.xi.shape[1] // len(names)  # probes per group
         for i in range(self.n):
             t = int(self.t[i])
             fitted = bool(self.fitted[i])
@@ -118,7 +123,7 @@ class RefreshLog:
                     self.predicted[i].tolist(),
                 )
                 for j, (xi, delta_l, predicted) in enumerate(columns):
-                    g = j // 4
+                    g = j // n
                     yield PROBE_LINE % (
                         _number(delta_l), g, names[g], _number(predicted), t, _number(xi)
                     )

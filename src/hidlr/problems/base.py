@@ -151,7 +151,8 @@ class LossProblem:
     """Contract every problem in the zoo implements.
 
     Subclasses set ``dim``, ``default_layout``, ``train``/``test`` (None for
-    pure functions) and implement ``loss``/``grad``/``init_params``.
+    pure functions) and implement ``init_params``, ``loss`` and one of
+    ``grad`` and ``loss_and_grad``.
     """
 
     dim: int
@@ -167,7 +168,10 @@ class LossProblem:
         raise NotImplementedError
 
     def grad(self, w: np.ndarray, batch: Optional[np.ndarray] = None) -> np.ndarray:
-        raise NotImplementedError
+        """The gradient half of ``loss_and_grad``, where a subclass overrides that."""
+        if type(self).loss_and_grad is LossProblem.loss_and_grad:
+            raise NotImplementedError(f"{type(self).__name__} has no grad or loss_and_grad")
+        return self.loss_and_grad(w, batch)[1]
 
     def loss_and_grad(
         self, w: np.ndarray, batch: Optional[np.ndarray] = None
@@ -194,12 +198,12 @@ class LossProblem:
         """``(anchor, (K, n) table)`` of training losses around ``w``.
 
         Table entry [k, i] is the loss at w - xi[k, i] * d on group k alone;
-        the controller probes with n = 4. The anchor is ``l0`` when given;
-        otherwise it is ``loss(w, batch)`` and counts as one more
-        training-loss evaluation. Each table entry counts as one evaluation,
-        however it is computed, and every entry is computed, finite or not.
-        This default evaluates them one by one in group-major order on one
-        reused copy of ``w``. An override must give the same anchor and the
+        the controller probes with n = len(PROBE_MULTIPLIERS). The anchor is
+        ``l0`` when given; otherwise it is ``loss(w, batch)`` and counts as
+        one more training-loss evaluation. Each table entry counts as one
+        evaluation, however it is computed, and every entry is computed,
+        finite or not. This default evaluates them one by one in group-major
+        order on one reused copy of ``w``. An override must give the same anchor and the
         same table, and must fall back on this default for any layout it was
         not written for.
         """

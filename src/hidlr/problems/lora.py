@@ -82,9 +82,6 @@ class LoraRegressionProblem(LossProblem):
             l0 = _half_mse(xa, b, y)
         return l0, out
 
-    def grad(self, w, batch=None) -> np.ndarray:
-        return self.loss_and_grad(w, batch)[1]
-
     def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
         x, y = self.resolve_batch(batch)

@@ -99,9 +99,6 @@ class MoeProblem(LossProblem):
         z, _ = self._forward(w, x)
         return float(np.mean(bce_with_logits(z, y)))
 
-    def grad(self, w, batch=None) -> np.ndarray:
-        return self.loss_and_grad(w, batch)[1]
-
     def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
         x, y = self.resolve_batch(batch)

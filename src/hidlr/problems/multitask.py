@@ -85,9 +85,6 @@ class MultitaskHeadProblem(LossProblem):
         logits = z @ self._head(w).T  # (B, K)
         return float(np.mean(bce_with_logits(logits, y)))
 
-    def grad(self, w, batch=None) -> np.ndarray:
-        return self.loss_and_grad(w, batch)[1]
-
     def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
         z, y = self._resolve_z(batch)

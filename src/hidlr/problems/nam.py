@@ -194,9 +194,6 @@ class NamProblem(LossProblem):
         x, y = self.resolve_batch(batch)
         return float(np.mean((self.predict(w, x) - y) ** 2))
 
-    def grad(self, w, batch=None) -> np.ndarray:
-        return self.loss_and_grad(w, batch)[1]
-
     def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
         x, y = self.resolve_batch(batch)
@@ -237,7 +234,7 @@ class NamProblem(LossProblem):
         """Probe losses from one base forward plus one rerun per sub-network.
 
         A probe moves one group, so every other sub-network's output is the
-        base one. Sub-network k's four probe weight vectors run stacked
+        base one. Sub-network k's n probe weight vectors run stacked
         through the same layer loop, and the bias probes shift the base sum.
         The prediction is still summed over all K outputs in order, so each
         loss is bit-identical to a full forward at the probed parameters.
@@ -264,7 +261,7 @@ class NamProblem(LossProblem):
         probe_slots = (*self._slots[:-1], "probe_out")
         prefix = None  # outs[0] + ... + outs[k - 1]
         for k in range(self.n_features):
-            moved = s[k] - xi[k + 1][:, None] * ds[k]  # (4, per_subnet)
+            moved = s[k] - xi[k + 1][:, None] * ds[k]  # (n, per_subnet)
             acc = self._subnets(inputs[k : k + 1], self._layers(moved), probe_slots)[-1][:, :, 0]
             # the sum in ``loss``'s order: outputs before k, probed k, outputs after k
             if prefix is not None:

@@ -170,6 +170,13 @@ class TestRunCommand:
             ("ellipse", "hidlr.eta0=.inf", "eta0 must be a finite number > 0, got inf"),
             ("ellipse", "hidlr.eta0=.nan", "eta0 must be a finite number > 0, got nan"),
             ("ellipse", "grouping_names=5", "grouping_names must be a list of strings, got 5"),
+            ("ellipse", "base_lr=.inf", "base_lr must be a finite number > 0, got inf"),
+            ("ellipse", "grid=[1e-3, .inf]",
+             "grid must be a nonempty list of finite rates > 0, got [0.001, inf]"),
+            ("ellipse", "hidlr.eta_max=.inf",
+             "need 0 < eta_min < eta_max < inf, got [1e-10, inf]"),
+            ("ellipse", "hidlr.probe_floor=.inf",
+             "probe_floor must be a finite number > 0, got inf"),
         ],
     )
     def test_bad_value_is_one_config_error(

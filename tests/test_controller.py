@@ -32,11 +32,11 @@ from conftest import assert_bit_identical
 
 
 def parabola_deltas(probe, a, b):
-    """Exact dL = 0.5*a*xi^2 - b*xi at the probe scales."""
-    xi = probe.xi()
-    a_row = np.repeat(np.asarray(a, dtype=float), 4)
-    b_row = np.repeat(np.asarray(b, dtype=float), 4)
-    return 0.5 * a_row * xi**2 - b_row * xi
+    """Exact dL = 0.5*a*xi^2 - b*xi at the probe scales, flat and group-major."""
+    xi = probe.xi_table()
+    a_col = np.asarray(a, dtype=float)[:, None]
+    b_col = np.asarray(b, dtype=float)[:, None]
+    return (0.5 * a_col * xi**2 - b_col * xi).ravel()
 
 
 class PoleProblem(LossProblem):
@@ -73,9 +73,10 @@ class TestProbeMatrix:
 
     def test_xi_ordering_is_group_major(self):
         probe = build_probe_matrix(np.array([0.1, 0.5]))
-        xi = probe.xi()
+        xi = probe.xi_table().ravel()
         assert np.allclose(xi, [-0.2, -0.1, 0.1, 0.2, -1.0, -0.5, 0.5, 1.0])
-        assert [probe.group_of_row(j) for j in range(8)] == [0] * 4 + [1] * 4
+        fit = fit_diag_quadratic(probe, np.arange(8.0))
+        assert_bit_identical(fit.xi, xi)
 
     def test_tiny_rate_floored(self):
         probe = build_probe_matrix(np.array([1e-15, 0.5]), probe_floor=1e-12)
@@ -90,12 +91,11 @@ class TestProbeMatrix:
         probe = build_probe_matrix(eta)
         table = probe.xi_table()
         assert table.shape == (k, 4)
-        xi = probe.xi()
+        xi = table.ravel()
         for j in range(4 * k):
             # probe j moves group j // 4 alone, by v_j times that group's rate
             v = PROBE_MULTIPLIERS[j % 4]
-            assert probe.group_of_row(j) == j // 4
-            assert table[j // 4, j % 4] == v * eta[j // 4] == xi[j]
+            assert table[j // 4, j % 4] == v * eta[j // 4] == xi[j] != 0.0
 
 
 class TestEvaluateProbes:
@@ -131,22 +131,32 @@ class TestEvaluateProbes:
         assert w.tobytes() == before
         assert problem.loss(w) == l0
 
-    def test_non_finite_probe_evaluates_every_probe(self):
+    @pytest.mark.parametrize(
+        "k, fails, row, group",
+        [
+            # rows move w[0] to 3.02, 2.01, -0.01, -1.02: the third is the first to fail
+            (1, lambda w: w[0] < 0, 2, 0),
+            # group 0 is never refused; group 1's rows move w[1] as above, and its
+            # second (row 5) fails first, before its fourth (row 7)
+            (2, lambda w: 1.5 < w[1] < 2.5 or w[1] < -0.5, 5, 1),
+        ],
+    )
+    def test_non_finite_probe_evaluates_every_probe(self, k, fails, row, group):
         def guarded(w):
-            return float(w[0]) if w[0] >= 0 else np.inf
+            return np.inf if fails(w) else float(w.sum())
 
         inner = FunctionProblem(
-            fn=guarded, grad_fn=lambda w: np.ones(1), init=[1.0], name="guard"
+            fn=guarded, grad_fn=lambda w: np.ones(k), init=np.ones(k), name="guard"
         )
         problem = CountingProblem(inner)
-        probe = build_probe_matrix(np.array([1.01]))
-        w = np.array([1.0])
-        # rows move w[0] to 3.02, 2.01, -0.01, -1.02: the third is the first to fail
-        with pytest.raises(NonFiniteLoss, match=r"^probe row 2 \(group 0\) gave loss inf$"):
+        probe = build_probe_matrix(np.full(k, 1.01))
+        w = np.ones(k)
+        message = rf"^probe row {row} \(group {group}\) gave loss inf$"
+        with pytest.raises(NonFiniteLoss, match=message):
             evaluate_probes(
-                problem, w, np.ones(1), inner.default_layout, probe, None, inner.loss(w)
+                problem, w, np.ones(k), inner.default_layout, probe, None, inner.loss(w)
             )
-        assert problem.train_loss_calls == 4
+        assert problem.train_loss_calls == 4 * k
 
     def test_non_finite_anchor_raises(self):
         problem = PoleProblem([1.0, 3.0])
@@ -235,7 +245,7 @@ class TestFitDiagQuadratic:
 
     def test_symmetric_responses_give_zero_slope(self):
         probe = build_probe_matrix(np.array([0.5]))
-        xi = probe.xi()
+        xi = probe.xi_table().ravel()
         fit = fit_diag_quadratic(probe, 3.0 * xi**2)
         assert fit.b[0] == pytest.approx(0.0, abs=1e-14)
         assert fit.a[0] == pytest.approx(6.0, rel=1e-12)

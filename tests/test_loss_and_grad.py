@@ -82,6 +82,33 @@ def test_loss_and_grad_matches_loss_and_grad(name, seed, full_batch):
     assert np.array_equal(g, problem.grad(w, batch))
 
 
+class LossOnly(LossProblem):
+    """Defines ``loss`` and neither ``grad`` nor ``loss_and_grad``."""
+
+    dim = 1
+
+    def loss(self, w, batch=None):
+        return float(w[0] ** 2)
+
+
+class FusedOnly(LossOnly):
+    """Defines ``loss`` and ``loss_and_grad``; ``grad`` is the base default."""
+
+    def loss_and_grad(self, w, batch=None):
+        return self.loss(w, batch), 2.0 * w
+
+
+@pytest.mark.parametrize("call", ["grad", "loss_and_grad"])
+def test_loss_only_problem_has_no_gradient(call):
+    with pytest.raises(NotImplementedError, match="^LossOnly has no grad or loss_and_grad$"):
+        getattr(LossOnly(), call)(np.ones(1))
+
+
+def test_default_grad_comes_from_loss_and_grad():
+    problem = FusedOnly()
+    assert np.array_equal(problem.grad(np.array([3.0])), [6.0])
+
+
 @pytest.mark.parametrize("name", ANCHORED)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_anchor_and_table_match_separate_calls(name, seed, monkeypatch):
