@@ -203,9 +203,9 @@ class LossProblem:
         one more training-loss evaluation. Each table entry counts as one
         evaluation, however it is computed, and every entry is computed,
         finite or not. This default evaluates them one by one in group-major
-        order on one reused copy of ``w``. An override must give the same anchor and the
-        same table, and must fall back on this default for any layout it was
-        not written for.
+        order on one reused copy of ``w``. An override must give the same
+        anchor and the same table, and must fall back on this default for any
+        layout it was not written for.
         """
         if l0 is None:
             l0 = self.loss(w, batch)

@@ -140,6 +140,7 @@ class TestEvaluateProbes:
             # second (row 5) fails first, before its fourth (row 7)
             (2, lambda w: 1.5 < w[1] < 2.5 or w[1] < -0.5, 5, 1),
         ],
+        ids=["K1", "K2"],
     )
     def test_non_finite_probe_evaluates_every_probe(self, k, fails, row, group):
         def guarded(w):

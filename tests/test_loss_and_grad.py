@@ -91,22 +91,10 @@ class LossOnly(LossProblem):
         return float(w[0] ** 2)
 
 
-class FusedOnly(LossOnly):
-    """Defines ``loss`` and ``loss_and_grad``; ``grad`` is the base default."""
-
-    def loss_and_grad(self, w, batch=None):
-        return self.loss(w, batch), 2.0 * w
-
-
 @pytest.mark.parametrize("call", ["grad", "loss_and_grad"])
 def test_loss_only_problem_has_no_gradient(call):
     with pytest.raises(NotImplementedError, match="^LossOnly has no grad or loss_and_grad$"):
         getattr(LossOnly(), call)(np.ones(1))
-
-
-def test_default_grad_comes_from_loss_and_grad():
-    problem = FusedOnly()
-    assert np.array_equal(problem.grad(np.array([3.0])), [6.0])
 
 
 @pytest.mark.parametrize("name", ANCHORED)

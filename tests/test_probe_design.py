@@ -5,7 +5,6 @@ six-point design. The fit, the loss-call budget and its audit, the refresh
 log, ``hidlr budget`` and ``hidlr diag`` must all follow it.
 """
 
-import json
 from collections import Counter
 
 import numpy as np
@@ -96,5 +95,5 @@ def test_diag_grid_follows_the_patched_design(six_point, tmp_path, capsys):
     assert main(["diag", config, "--out", str(tmp_path)]) == 0
     rows = read_jsonl(tmp_path / "diagnostics.jsonl")
     assert [r["xi"] for r in rows] == (SIX * 1e-3).tolist() * 2
-    r2 = json.loads(capsys.readouterr().out.split("pooled_r2=")[1])
+    r2 = float(capsys.readouterr().out.split("pooled_r2=")[1])
     assert r2 == pytest.approx(1.0, abs=1e-9)
