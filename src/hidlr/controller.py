@@ -337,10 +337,12 @@ def hidlr_step(
 
     A refresh happens when ``t % cfg.phi == 0`` (so always at t = 0). With
     ``cfg=None`` the step is plain: no refresh, at ``lr_state.eta`` as given. A
-    probe or fit failure rejects the refresh and training continues with
-    the previous rates. ``probe_batch`` (when given) replaces the step's
-    batch for probing only; this costs one extra loss call to re-anchor
-    the baseline, made by the probe set itself.
+    ``NonFiniteLoss`` from the probe set rejects the refresh and training
+    continues with the previous rates. Any other error propagates, such as
+    the fit's ``SingularFit``, which needs a probe scale that is not finite
+    and positive (a validated config cannot give one). ``probe_batch``
+    (when given) replaces the step's batch for probing only; this costs one
+    extra loss call to re-anchor the baseline, made by the probe set itself.
     """
     l0, g = problem.loss_and_grad(w, batch)
     if not math.isfinite(l0):

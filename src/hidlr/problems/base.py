@@ -250,3 +250,31 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 def bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise binary cross-entropy, numerically stable in the logit."""
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+
+
+def bce_into(z: np.ndarray, y: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bit-exact bce_with_logits(z, y) into ``out`` (may be z); returns exp(-|z|), scratch."""
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
+    scratch = np.multiply(z, y)
+    np.subtract(np.maximum(z, 0.0, out=out), scratch, out=out)
+    out += np.log1p(e, out=scratch)
+    return e, scratch
+
+
+def bce_loss_and_grad(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(float(mean(bce_with_logits(z, y))), (sigmoid(z) - y) / z.size)``, bit for bit.
+
+    One exp(-|z|), in three z-sized buffers: for every non-NaN z it equals
+    the ``exp`` that ``sigmoid`` takes, -0.0 included.
+    """
+    bce = np.empty(np.broadcast_shapes(z.shape, y.shape))
+    e, scratch = bce_into(z, y, bce)
+    loss = float(np.mean(bce))
+    del bce  # freed before the mask below
+    np.add(e, 1.0, out=scratch)
+    np.copyto(e, 1.0, where=z >= 0)  # sigmoid's numerator: 1 where z >= 0, else e
+    e /= scratch
+    e -= y
+    e /= z.size
+    return loss, e

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError, check_int, check_real
-from .base import Carving, Dataset, GroupLayout, LossProblem, bce_with_logits, sigmoid
+from .base import Carving, Dataset, GroupLayout, LossProblem, bce_loss_and_grad, bce_with_logits
 
 N_EXPERTS = 6
 GATE_HIDDEN = 32
@@ -103,13 +103,12 @@ class MoeProblem(LossProblem):
         w = self.check_w(w)
         x, y = self.resolve_batch(batch)
         z, (gz1, ga1, p, ez1, ea1, expert_logits) = self._forward(w, x)
-        loss = float(np.mean(bce_with_logits(z, y)))
+        loss, dz = bce_loss_and_grad(z, y)  # dz: (B,)
         _, _, g2, _, _, _, e2, _ = self._views(w)
 
         g = np.zeros(self.dim)
         dg1, dgb1, dg2, dgb2, de1, deb1, de2, deb2 = self._views(g)
 
-        dz = (sigmoid(z) - y) / y.shape[0]  # (B,)
         dp = dz[:, None] * expert_logits  # (B, E)
         dlogits = dz[:, None] * p  # (B, E)
 

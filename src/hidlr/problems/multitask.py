@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import check_int
-from .base import Dataset, GroupLayout, LossProblem, bce_with_logits, sigmoid
+from .base import Dataset, GroupLayout, LossProblem, bce_into, bce_loss_and_grad, bce_with_logits
 
 FEATURE_DIM = 512
 INPUT_DIM = 16
@@ -88,9 +88,7 @@ class MultitaskHeadProblem(LossProblem):
     def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
         z, y = self._resolve_z(batch)
-        logits = z @ self._head(w).T  # (B, K)
-        loss = float(np.mean(bce_with_logits(logits, y)))
-        dlogits = (sigmoid(logits) - y) / logits.size
+        loss, dlogits = bce_loss_and_grad(z @ self._head(w).T, y)  # (B, K) logits
         return loss, (dlogits.T @ z).ravel()
 
     def probe_losses(self, w, d, layout, xi, batch=None, l0=None):
@@ -98,40 +96,33 @@ class MultitaskHeadProblem(LossProblem):
 
         Moving head k by -xi * d_k moves only logit column k, by -xi * z d_k.
         So each probe's loss is the base loss with column k's BCE sum
-        replaced, one (B, K) BCE per multiplier. The sums run in another
-        order than a full forward, so losses agree to rounding, not bits.
-        Without ``l0`` the anchor is the loss of the base logits.
+        replaced, one (B, K) BCE per multiplier in one reused buffer. The
+        sums run in another order than a full forward, so losses agree to
+        rounding, not bits. Without ``l0`` the anchor is the base loss.
         """
         if layout != self.default_layout:
             return super().probe_losses(w, d, layout, xi, batch, l0)
         z, y = self._resolve_z(batch)
         logits = z @ self._head(self.check_w(w)).T  # (B, K)
         slopes = z @ self._head(self.check_w(d)).T
-        bce = bce_with_logits(logits, y)
+        del z  # a gathered batch is the largest array here: free it before the loop
+        buf = np.empty_like(logits)
+        bce_into(logits, y, out=buf)
         if l0 is None:
-            l0 = float(np.mean(bce))  # as ``loss`` computes it
-        base = bce.sum(axis=0)  # (K,)
-        del bce  # holding it through the probe loop raises the peak memory
+            l0 = float(np.mean(buf))  # as ``loss`` computes it
+        base = buf.sum(axis=0)  # (K,)
         total = base.sum()
         out = np.empty(xi.shape)
         for i in range(xi.shape[1]):
-            moved = bce_with_logits(logits - xi[:, i] * slopes, y).sum(axis=0)
-            out[:, i] = (total - base + moved) / logits.size
+            np.multiply(xi[:, i], slopes, out=buf)
+            np.subtract(logits, buf, out=buf)  # the moved logits
+            bce_into(buf, y, out=buf)
+            out[:, i] = (total - base + buf.sum(axis=0)) / logits.size
         return l0, out
-
-    def per_task_losses(self, w, split: str = "test") -> np.ndarray:
-        z, y = (
-            (self._z_test, self.test.targets)
-            if split == "test"
-            else (self._z_train, self.train.targets)
-        )
-        logits = z @ self._head(self.check_w(w)).T
-        return bce_with_logits(logits, y).mean(axis=0)
 
     def test_metrics(self, w) -> dict:
         logits = self._z_test @ self._head(self.check_w(w)).T
         y = self.test.targets
-        return {
-            "test_loss": float(np.mean(bce_with_logits(logits, y))),
-            "test_accuracy": float(np.mean((logits > 0) == (y > 0.5))),
-        }
+        accuracy = float(np.mean((logits > 0) == (y > 0.5)))
+        bce_into(logits, y, out=logits)
+        return {"test_loss": float(np.mean(logits)), "test_accuracy": accuracy}

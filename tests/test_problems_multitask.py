@@ -1,11 +1,16 @@
 """Multi-task linear head on frozen random features."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hidlr.controller import HiDlrConfig, hidlr_step, initial_lr_state
 from hidlr.errors import ValidationError
 from hidlr.linalg import make_rng
-from hidlr.problems import MultitaskHeadProblem, sigmoid
+from hidlr.optim import OptimizerState
+from hidlr.problems import MultitaskHeadProblem, bce_with_logits, sigmoid
+from hidlr.problems.base import bce_into, bce_loss_and_grad
 from hidlr.problems.multitask import FEATURE_DIM, NOISE_MAX, NOISE_MIN
 
 
@@ -33,6 +38,51 @@ def test_sigmoid_bit_equal_to_masked_version():
         assert sigmoid(z2).tobytes() == masked_sigmoid(z2).tobytes()
 
 
+BCE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             709.0, -709.0, 745.2, -745.2, 800.0, -800.0, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("shape", [(4096,), (64, 64)])
+def test_bce_kernel_bit_equal_to_bce_and_sigmoid(shape):
+    # exp(-|z|) is subnormal from |z| = 708.4 and 0 past 745.1; labels both soft and 0/1
+    rng = make_rng(4)
+    z = np.concatenate([BCE_EDGES, rng.standard_normal(4096) * 30.0])[:4096].reshape(shape)
+    for y in (rng.random(shape), (rng.random(shape) > 0.5).astype(np.float64)):
+        loss, dz = bce_loss_and_grad(z, y)
+        assert loss == float(np.mean(bce_with_logits(z, y)))
+        assert dz.tobytes() == ((sigmoid(z) - y) / z.size).tobytes()
+        moved = z.copy()
+        bce_into(moved, y, out=moved)
+        assert moved.tobytes() == bce_with_logits(z, y).tobytes()
+
+
+def test_bce_kernel_nan_gives_nan():
+    z = np.array([np.nan, -np.nan, 1.0])
+    loss, dz = bce_loss_and_grad(z, np.array([1.0, 0.0, 1.0]))
+    assert np.isnan(loss)
+    assert np.isnan(dz[:2]).all() and np.isfinite(dz[2])
+
+
+def test_warm_refresh_step_peak_is_one_batch_of_rows_and_six_logit_arrays():
+    problem = MultitaskHeadProblem(make_rng(0), n_tasks=40, n_train=512, n_test=32)
+    layout = problem.default_layout
+    batch = make_rng(5).choice(problem.train.n, size=256, replace=False)
+    cfg = HiDlrConfig(phi=1, eta0=1e-3)
+    lr_state = initial_lr_state(cfg, layout.k)
+    state = OptimizerState.create("adamw", problem.dim)
+    step = hidlr_step(problem, problem.init_params(make_rng(1)), lr_state, state, cfg, layout,
+                      batch, 0)  # warm: the optimizer state and the rates exist
+    tracemalloc.start()
+    try:
+        res = hidlr_step(problem, step.w, step.lr_state, state, cfg, layout, batch, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.refresh is not None
+    # the gathered feature rows, plus six (B, K) float arrays
+    assert peak < batch.size * FEATURE_DIM * 8 + 6 * batch.size * layout.k * 8
+
+
 class TestMultitask:
     def test_layout_one_group_per_task(self, problem):
         lay = problem.default_layout
@@ -52,7 +102,9 @@ class TestMultitask:
     def test_zero_head_loss_is_ln2(self, problem):
         w = np.zeros(problem.dim)
         assert problem.loss(w) == pytest.approx(np.log(2.0), rel=1e-12)
-        assert np.allclose(problem.per_task_losses(w), np.log(2.0), rtol=1e-12)
+        logits = problem._z_test @ w.reshape(8, FEATURE_DIM).T
+        per_task = bce_with_logits(logits, problem.test.targets).mean(axis=0)
+        assert np.allclose(per_task, np.log(2.0), rtol=1e-12)
 
     def test_noise_ramp(self, problem):
         scales = problem.noise_scales
@@ -91,7 +143,8 @@ class TestMultitask:
         w = np.zeros(problem.dim)
         for _ in range(50):
             w = w - 1.0 * problem.grad(w)
-        per_task = problem.per_task_losses(w, split="train")
+        logits = problem._z_train @ w.reshape(8, FEATURE_DIM).T
+        per_task = bce_with_logits(logits, problem.train.targets).mean(axis=0)
         assert per_task[0] < per_task[-1]
 
     def test_test_metrics_keys(self, problem):
