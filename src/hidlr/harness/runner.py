@@ -165,13 +165,17 @@ def _eval_row(problem, w, t, schedule, epoch_losses, eta, record):
     record.rows.append(row)
 
 
-def _train(problem, w, layout, cfg: ExperimentConfig, schedule, record, rate_at=None):
+def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record, rate_at=None):
     """The one training loop: a ``hidlr_step`` per step, audited at the end.
 
-    With ``rate_at`` every group steps at ``rate_at(t)`` and nothing is
-    probed, so the budget is one loss call per step. Without it the
-    controller sets the rates, and the budget is ``forward_pass_budget``.
+    ``start`` is a one-item list holding the initial parameter vector. The
+    loop takes the vector out of it, so nothing holds the vector once step 0
+    has made the next one. With ``rate_at`` every group steps at
+    ``rate_at(t)`` and nothing is probed, so the budget is one loss call per
+    step. Without it the controller sets the rates, and the budget is
+    ``forward_pass_budget``. Returns the final rates.
     """
+    w = start.pop()
     hcfg = cfg.hidlr if rate_at is None else None
     opt = OptimizerState.create(cfg.optimizer, problem.dim, **cfg.optimizer_params)
     total = schedule.total_steps
@@ -216,7 +220,7 @@ def _train(problem, w, layout, cfg: ExperimentConfig, schedule, record, rate_at=
             f"budget audit failed: {actual} training loss calls, "
             f"expected {expected} ({terms})"
         )
-    return w, clean(lr_state.eta)
+    return clean(lr_state.eta)
 
 
 def set_up_run(cfg: ExperimentConfig):
@@ -236,7 +240,9 @@ def set_up_run(cfg: ExperimentConfig):
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Run one configured experiment deterministically."""
-    inner, layout, w, method, shuffle_rng = set_up_run(cfg)
+    inner, layout, w0, method, shuffle_rng = set_up_run(cfg)
+    start = [w0]  # handed to _train, which lets it go after step 0
+    del w0
     problem = CountingProblem(inner)
     schedule = _Schedule(problem, cfg, shuffle_rng)
     record = RunRecord()
@@ -274,7 +280,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             rate_at = lambda t: best_lr
         elif method != "hidlr":  # pragma: no cover - config validation owns this
             raise ValidationError(f"unhandled method {method!r}")
-        w, eta_final = _train(problem, w, layout, cfg, schedule, record, rate_at)
+        eta_final = _train(problem, start, layout, cfg, schedule, record, rate_at)
     except HidlrError as exc:
         raise type(exc)(
             f"run problem={cfg.problem} seed={cfg.seed}: {exc}"

@@ -139,6 +139,19 @@ class Carving:
         ]
 
 
+def row_chunks(n: int, rows: int, least: int = 2) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds of ``rows``-row chunks covering [0, n).
+
+    A last chunk under ``least`` rows joins the chunk before it. The
+    default merges a one-row chunk, which numpy multiplies by gemv, whose
+    bits differ from gemm's.
+    """
+    bounds = [*range(0, n, rows), n]
+    if len(bounds) > 2 and n - bounds[-2] < least:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def split_dataset(ds: Dataset, train_fraction: float = 0.8) -> tuple[Dataset, Dataset]:
     """Deterministic head/tail split (rows assumed already in random order)."""
     n_train = int(round(ds.n * train_fraction))
@@ -224,15 +237,22 @@ class LossProblem:
             raise LengthMismatch(f"parameter shape {w.shape} != ({self.dim},)")
         return w
 
-    def resolve_batch(self, batch: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Feature/target rows for a batch of train indices (None = all)."""
+    def check_batch(self, batch: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """A batch of train indices as an array, or None (all rows); never empty."""
         if self.train is None:
             raise LengthMismatch(f"problem {self.name!r} has no dataset")
         if batch is None:
-            return self.train.features, self.train.targets
+            return None
         batch = np.asarray(batch)
         if batch.size == 0:
             raise LengthMismatch("batch must be nonempty")
+        return batch
+
+    def resolve_batch(self, batch: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Feature/target rows for a batch of train indices (None = all)."""
+        batch = self.check_batch(batch)
+        if batch is None:
+            return self.train.features, self.train.targets
         return self.train.take(batch)
 
 
@@ -265,15 +285,15 @@ def bce_into(z: np.ndarray, y: np.ndarray, out: np.ndarray) -> tuple[np.ndarray,
 def bce_loss_and_grad(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """``(float(mean(bce_with_logits(z, y))), (sigmoid(z) - y) / z.size)``, bit for bit.
 
-    One exp(-|z|), in three z-sized buffers: for every non-NaN z it equals
-    the ``exp`` that ``sigmoid`` takes, -0.0 included.
+    Overwrites ``z`` with its BCE, so a caller passes logits it is done with.
+    One exp(-|z|), in z and two more z-sized buffers: for every non-NaN z it
+    equals the ``exp`` that ``sigmoid`` takes, -0.0 included.
     """
-    bce = np.empty(np.broadcast_shapes(z.shape, y.shape))
-    e, scratch = bce_into(z, y, bce)
-    loss = float(np.mean(bce))
-    del bce  # freed before the mask below
+    pos = z >= 0  # sigmoid's numerator is 1 here, else e: taken before z is overwritten
+    e, scratch = bce_into(z, y, z)
+    loss = float(np.mean(z))
     np.add(e, 1.0, out=scratch)
-    np.copyto(e, 1.0, where=z >= 0)  # sigmoid's numerator: 1 where z >= 0, else e
+    np.copyto(e, 1.0, where=pos)
     e /= scratch
     e -= y
     e /= z.size

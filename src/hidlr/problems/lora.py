@@ -87,9 +87,11 @@ class LoraRegressionProblem(LossProblem):
         x, y = self.resolve_batch(batch)
         a, b = self._unpack(w)
         xa = x @ a.T  # (B, r)
-        residual = xa @ b.T - y  # (B, width)
-        loss = float(0.5 * np.sum(residual * residual) / x.shape[0])
-        r = residual / x.shape[0]
+        r = xa @ b.T  # (B, width), the residual once y is subtracted
+        r -= y
+        del y  # freed before the square below
+        loss = float(0.5 * np.sum(r * r) / x.shape[0])
+        r /= x.shape[0]
         g = np.empty(self.dim)
         ga, gb = self._unpack(g)
         ga[...] = (b.T @ r.T) @ x
@@ -105,8 +107,10 @@ class LoraRegressionProblem(LossProblem):
 def _half_mse(xa: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:
     """Half squared error of ``xa @ b.T`` against ``y``, averaged over rows.
 
-    The residual is formed in place, so no prediction array outlives it.
+    The residual is formed and then squared in place, so the call holds one
+    (B, width) array besides ``y``.
     """
     r = xa @ b.T
     r -= y
-    return float(0.5 * np.sum(r * r) / xa.shape[0])
+    r *= r
+    return float(0.5 * np.sum(r) / xa.shape[0])

@@ -11,7 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError, check_int, check_real
-from .base import Carving, Dataset, GroupLayout, LossProblem, bce_loss_and_grad, bce_with_logits
+from .base import (
+    Carving,
+    Dataset,
+    GroupLayout,
+    LossProblem,
+    bce_into,
+    bce_loss_and_grad,
+    bce_with_logits,
+)
 
 N_EXPERTS = 6
 GATE_HIDDEN = 32
@@ -97,7 +105,8 @@ class MoeProblem(LossProblem):
         w = self.check_w(w)
         x, y = self.resolve_batch(batch)
         z, _ = self._forward(w, x)
-        return float(np.mean(bce_with_logits(z, y)))
+        bce_into(z, y, out=z)
+        return float(np.mean(z))
 
     def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)

@@ -14,12 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import check_int
-from .base import Dataset, GroupLayout, LossProblem, bce_into, bce_loss_and_grad, bce_with_logits
+from .base import Dataset, GroupLayout, LossProblem, bce_into, bce_loss_and_grad, row_chunks
 
 FEATURE_DIM = 512
 INPUT_DIM = 16
 NOISE_MIN = 0.1
 NOISE_MAX = 2.0
+PROBE_ROWS = 64  # feature rows a probe set gathers at a time
 
 
 class MultitaskHeadProblem(LossProblem):
@@ -74,16 +75,17 @@ class MultitaskHeadProblem(LossProblem):
 
     def _resolve_z(self, batch):
         """Cached feature rows and targets for a train batch (None = all)."""
+        batch = self.check_batch(batch)
         if batch is None:
             return self._z_train, self.train.targets
-        batch = np.asarray(batch)
         return self._z_train[batch], self.train.targets[batch]
 
     def loss(self, w, batch=None) -> float:
         w = self.check_w(w)
         z, y = self._resolve_z(batch)
         logits = z @ self._head(w).T  # (B, K)
-        return float(np.mean(bce_with_logits(logits, y)))
+        bce_into(logits, y, out=logits)
+        return float(np.mean(logits))
 
     def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
@@ -99,13 +101,25 @@ class MultitaskHeadProblem(LossProblem):
         replaced, one (B, K) BCE per multiplier in one reused buffer. The
         sums run in another order than a full forward, so losses agree to
         rounding, not bits. Without ``l0`` the anchor is the base loss.
+
+        The two products gather the batch's feature rows ``PROBE_ROWS`` at a
+        time (a shorter last chunk joins the one before), never the whole
+        batch's rows at once. They keep a one-pass product's bits where BLAS
+        gives a ``PROBE_ROWS``-row block the kernel it gives the batch, as
+        OpenBLAS does at the preset's 40 tasks; at 8 tasks and 256 rows it
+        does not, and the anchor matches ``loss`` only to rounding.
         """
         if layout != self.default_layout:
             return super().probe_losses(w, d, layout, xi, batch, l0)
-        z, y = self._resolve_z(batch)
-        logits = z @ self._head(self.check_w(w)).T  # (B, K)
-        slopes = z @ self._head(self.check_w(d)).T
-        del z  # a gathered batch is the largest array here: free it before the loop
+        batch = self.check_batch(batch)
+        y = self.train.targets if batch is None else self.train.targets[batch]
+        head, slope_head = self._head(self.check_w(w)).T, self._head(self.check_w(d)).T
+        logits, slopes = np.empty(y.shape), np.empty(y.shape)  # (B, K)
+        for lo, hi in row_chunks(y.shape[0], PROBE_ROWS, least=PROBE_ROWS):
+            z = self._z_train[lo:hi] if batch is None else self._z_train[batch[lo:hi]]
+            np.matmul(z, head, out=logits[lo:hi])
+            np.matmul(z, slope_head, out=slopes[lo:hi])
+            del z  # the next chunk's rows replace these, never join them
         buf = np.empty_like(logits)
         bce_into(logits, y, out=buf)
         if l0 is None:

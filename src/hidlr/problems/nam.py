@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..errors import DimensionMismatch, ValidationError, check_int
-from .base import Carving, Dataset, GroupLayout, LossProblem, split_dataset
+from .base import Carving, Dataset, GroupLayout, LossProblem, row_chunks, split_dataset
 
 # Nonzero target components of the synthetic additive dataset; the remaining
 # features contribute nothing and exist to test whether training ignores them.
@@ -180,13 +180,8 @@ class NamProblem(LossProblem):
     def predict(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Predictions for the rows of ``x``, computed ``EVAL_ROWS`` rows at a time."""
         w = self.check_w(w)
-        n = x.shape[0]
-        bounds = [*range(0, n, EVAL_ROWS), n]
-        if len(bounds) > 2 and n - bounds[-2] == 1:
-            # numpy multiplies a one-row chunk by gemv, whose bits differ from gemm's
-            del bounds[-2]
-        pred = np.empty(n)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        pred = np.empty(x.shape[0])
+        for lo, hi in row_chunks(x.shape[0], EVAL_ROWS):
             pred[lo:hi] = self._forward(w, x[lo:hi])[0]
         return pred
 

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -306,6 +307,26 @@ class TestRefreshLogMemory:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("method", ["hidlr", "constant"])
+    def test_initial_vector_freed_after_step_zero(self, method, monkeypatch):
+        refs, alive = [], []
+        set_up_run, hidlr_step = runner.set_up_run, runner.hidlr_step
+
+        def set_up_and_watch(cfg):
+            set_up = set_up_run(cfg)
+            refs.append(weakref.ref(set_up[2]))
+            return set_up
+
+        def step_and_look(*args):
+            if args[7] == 1:  # t: step 0 is over
+                alive.append(refs[0]() is not None)
+            return hidlr_step(*args)
+
+        monkeypatch.setattr(runner, "set_up_run", set_up_and_watch)
+        monkeypatch.setattr(runner, "hidlr_step", step_and_look)
+        run_experiment(ellipse_cfg(method=method, iterations=3))
+        assert alive == [False]
+
     def test_rows_iterations_increase(self):
         record = run_experiment(ellipse_cfg())
         iters = [row["iteration"] for row in record.rows]

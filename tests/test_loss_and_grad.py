@@ -10,7 +10,7 @@ from hidlr.controller import (
     hidlr_step,
     initial_lr_state,
 )
-from hidlr.errors import NonFiniteLoss
+from hidlr.errors import LengthMismatch, NonFiniteLoss
 from hidlr.harness.config import ExperimentConfig, load_config_dict
 from hidlr.harness.runner import CountingProblem, run_experiment
 from hidlr.linalg import make_rng
@@ -80,6 +80,17 @@ def test_loss_and_grad_matches_loss_and_grad(name, seed, full_batch):
     assert isinstance(loss, float)
     assert loss == problem.loss(w, batch)
     assert np.array_equal(g, problem.grad(w, batch))
+
+
+@pytest.mark.parametrize("call", ["loss", "loss_and_grad", "probe_losses"])
+@pytest.mark.parametrize("name", ["nam-synthetic", "multitask", "lora-synthetic", "moe"])
+def test_empty_batch_rejected(name, call):
+    problem, _ = preset(name)
+    layout = problem.default_layout
+    w = problem.init_params(make_rng(0))
+    args = {"probe_losses": (w, layout, xi_for(layout, 0))}.get(call, ())
+    with pytest.raises(LengthMismatch, match="^batch must be nonempty$"):
+        getattr(problem, call)(w, *args, np.array([], dtype=np.intp))
 
 
 class LossOnly(LossProblem):

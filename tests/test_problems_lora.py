@@ -1,16 +1,39 @@
 """Low-rank teacher-student regression problem."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hidlr.controller import HiDlrConfig, hidlr_step, initial_lr_state
 from hidlr.errors import ValidationError
 from hidlr.linalg import make_rng
+from hidlr.optim import OptimizerState
 from hidlr.problems import LoraRegressionProblem
 
 
 @pytest.fixture(scope="module")
 def problem():
     return LoraRegressionProblem(make_rng(0), width=32, rank=3, n_train=200)
+
+
+def test_warm_refresh_step_peak_is_under_four_batch_arrays():
+    problem = LoraRegressionProblem(make_rng(0))  # the preset's width 64, rank 4
+    layout = problem.default_layout
+    batch = make_rng(5).choice(problem.train.n, size=128, replace=False)
+    cfg = HiDlrConfig(phi=1, eta0=1e-4)
+    state = OptimizerState.create("adamw", problem.dim)
+    step = hidlr_step(problem, problem.init_params(make_rng(1)), initial_lr_state(cfg, layout.k),
+                      state, cfg, layout, batch, 0)  # warm: the optimizer state and the rates exist
+    tracemalloc.start()
+    try:
+        res = hidlr_step(problem, step.w, step.lr_state, state, cfg, layout, batch, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.refresh is not None
+    # the gathered x and y and one residual hold three (B, width) arrays
+    assert peak < 4 * batch.size * problem.width * 8
 
 
 class TestLora:

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hidlr.controller import HiDlrConfig, hidlr_step, initial_lr_state
+from hidlr.controller import HiDlrConfig, build_probe_matrix, hidlr_step, initial_lr_state
 from hidlr.errors import ValidationError
 from hidlr.linalg import make_rng
 from hidlr.optim import OptimizerState
-from hidlr.problems import MultitaskHeadProblem, bce_with_logits, sigmoid
+from hidlr.problems import MultitaskHeadProblem, bce_with_logits, multitask, sigmoid
 from hidlr.problems.base import bce_into, bce_loss_and_grad
 from hidlr.problems.multitask import FEATURE_DIM, NOISE_MAX, NOISE_MIN
 
@@ -48,9 +48,11 @@ def test_bce_kernel_bit_equal_to_bce_and_sigmoid(shape):
     rng = make_rng(4)
     z = np.concatenate([BCE_EDGES, rng.standard_normal(4096) * 30.0])[:4096].reshape(shape)
     for y in (rng.random(shape), (rng.random(shape) > 0.5).astype(np.float64)):
-        loss, dz = bce_loss_and_grad(z, y)
+        buffer = z.copy()  # the kernel writes the BCE over the logits it is given
+        loss, dz = bce_loss_and_grad(buffer, y)
         assert loss == float(np.mean(bce_with_logits(z, y)))
         assert dz.tobytes() == ((sigmoid(z) - y) / z.size).tobytes()
+        assert buffer.tobytes() == bce_with_logits(z, y).tobytes()
         moved = z.copy()
         bce_into(moved, y, out=moved)
         assert moved.tobytes() == bce_with_logits(z, y).tobytes()
@@ -63,7 +65,7 @@ def test_bce_kernel_nan_gives_nan():
     assert np.isnan(dz[:2]).all() and np.isfinite(dz[2])
 
 
-def test_warm_refresh_step_peak_is_one_batch_of_rows_and_six_logit_arrays():
+def test_warm_refresh_step_peak_is_one_batch_of_rows_and_five_logit_arrays():
     problem = MultitaskHeadProblem(make_rng(0), n_tasks=40, n_train=512, n_test=32)
     layout = problem.default_layout
     batch = make_rng(5).choice(problem.train.n, size=256, replace=False)
@@ -79,8 +81,23 @@ def test_warm_refresh_step_peak_is_one_batch_of_rows_and_six_logit_arrays():
     finally:
         tracemalloc.stop()
     assert res.refresh is not None
-    # the gathered feature rows, plus six (B, K) float arrays
-    assert peak < batch.size * FEATURE_DIM * 8 + 6 * batch.size * layout.k * 8
+    # the gathered feature rows, plus five (B, K) float arrays
+    assert peak < batch.size * FEATURE_DIM * 8 + 5 * batch.size * layout.k * 8
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 63, 64, 65, 66, 129, 130, 256, None])
+def test_chunked_probe_table_bit_equal_to_one_pass(batch_size, monkeypatch):
+    problem = MultitaskHeadProblem(make_rng(0), n_tasks=40, n_train=512, n_test=32)
+    layout = problem.default_layout
+    rng = make_rng(6)
+    w, d = 0.1 * rng.standard_normal((2, problem.dim))
+    xi = build_probe_matrix(10.0 ** rng.uniform(-4, -1, layout.k)).xi_table()
+    batch = None if batch_size is None else rng.choice(problem.train.n, batch_size, False)
+    anchor, table = problem.probe_losses(w, d, layout, xi, batch)
+    monkeypatch.setattr(multitask, "PROBE_ROWS", problem.train.n)  # one chunk: one pass
+    one_anchor, one_table = problem.probe_losses(w, d, layout, xi, batch)
+    assert anchor == one_anchor
+    assert np.array_equal(table, one_table)
 
 
 class TestMultitask:
