@@ -17,7 +17,7 @@ import yaml
 
 from ..controller import HiDlrConfig
 from ..errors import ParseError, ValidationError, check_int, check_real
-from ..optim import OPTIMIZER_KINDS, SCHEDULER_KINDS
+from ..optim import OPTIMIZER_KINDS, OPTIMIZER_PARAMS, SCHEDULER_KINDS
 from ..problems import PROBLEM_NAMES, STRATEGIES
 
 # libyaml's loader where PyYAML was built with it; it tokenises in C and
@@ -25,8 +25,6 @@ from ..problems import PROBLEM_NAMES, STRATEGIES
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 METHODS = ("hidlr", "hiulr", *SCHEDULER_KINDS, "grid")
-
-_OPT_KEYS = {"beta1", "beta2", "eps", "mu", "weight_decay"}
 
 
 def _check_optimizer_param(key: str, value) -> float:
@@ -126,13 +124,13 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
-def _check_keys(mapping: dict, allowed: set, path: str) -> None:
+def _check_keys(mapping: dict, allowed: set, path: str, scope: str = "") -> None:
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         where = f"{path}." if path else ""
         raise ParseError(
             f"unknown key(s) {', '.join(where + k for k in unknown)}; "
-            f"allowed: {', '.join(sorted(allowed))}"
+            f"allowed{scope}: {', '.join(sorted(allowed)) or 'none'}"
         )
 
 
@@ -151,7 +149,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     hidlr_raw = _require_mapping(raw.get("hidlr"), "hidlr")
     _check_keys(hidlr_raw, {f.name for f in fields(HiDlrConfig)}, "hidlr")
     opt_raw = _require_mapping(raw.get("optimizer_params"), "optimizer_params")
-    _check_keys(opt_raw, _OPT_KEYS, "optimizer_params")
+    optimizer = raw.get("optimizer", ExperimentConfig.optimizer)
+    if optimizer in OPTIMIZER_KINDS:  # ExperimentConfig names an unknown one
+        reads = set(OPTIMIZER_PARAMS[optimizer])
+        _check_keys(opt_raw, reads, "optimizer_params", f" for optimizer {optimizer}")
     problem_params = _require_mapping(raw.get("problem_params"), "problem_params")
     return ExperimentConfig(
         **{

@@ -140,9 +140,7 @@ class _Schedule:
             ]
         return self._epoch_batches[i]
 
-    def fresh_batch(self) -> Optional[np.ndarray]:
-        if self.n == 0:
-            return None
+    def fresh_batch(self) -> np.ndarray:
         return self.rng.choice(self.n, size=self.batch_size, replace=False)
 
     def is_eval_point(self, t: int) -> bool:
@@ -177,6 +175,8 @@ def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record
     """
     w = start.pop()
     hcfg = cfg.hidlr if rate_at is None else None
+    if hcfg is not None and hcfg.fresh_probe_batch and problem.train is None:
+        raise ValidationError(f"hidlr.fresh_probe_batch needs a dataset; {problem.name} has none")
     opt = OptimizerState.create(cfg.optimizer, problem.dim, **cfg.optimizer_params)
     total = schedule.total_steps
     if hcfg is not None:
@@ -188,7 +188,7 @@ def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record
         probe_batch = None
         if hcfg is None:
             lr_state = LrState(eta=np.full(layout.k, rate_at(t)))
-        elif hcfg.fresh_probe_batch and batch is not None and t % hcfg.phi == 0:
+        elif hcfg.fresh_probe_batch and t % hcfg.phi == 0:
             probe_batch = schedule.fresh_batch()
         res = hidlr_step(
             problem, w, lr_state, opt, hcfg, layout, batch, t, probe_batch
@@ -204,7 +204,7 @@ def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record
     if hcfg is None:
         expected, terms = total, f"T={total}, K={layout.k}, no refreshes"
     else:
-        fresh = int(hcfg.fresh_probe_batch and schedule.n > 0)
+        fresh = int(hcfg.fresh_probe_batch)
         expected = forward_pass_budget(total, layout.k, hcfg.phi, fresh)
         terms = f"T={total}, K={layout.k}, phi={hcfg.phi}, f={fresh}"
     actual = problem.train_loss_calls

@@ -17,7 +17,13 @@ from .errors import LengthMismatch, NonFiniteLoss, UnknownStrategy
 from .linalg import spawn_rngs
 from .problems.base import GroupLayout, LossProblem
 
-OPTIMIZER_KINDS = ("sgd", "momentum", "adamw")
+# each optimizer -> the ``optimizer_params`` keys its ``direction`` reads
+OPTIMIZER_PARAMS = {
+    "sgd": (),
+    "momentum": ("mu",),
+    "adamw": ("beta1", "beta2", "eps", "weight_decay"),
+}
+OPTIMIZER_KINDS = tuple(OPTIMIZER_PARAMS)
 SCHEDULER_KINDS = ("constant", "linear", "cosine")
 
 

@@ -212,13 +212,13 @@ class LossProblem:
 
         Table entry [k, i] is the loss at w - xi[k, i] * d on group k alone;
         the controller probes with n = len(PROBE_MULTIPLIERS). The anchor is
-        ``l0`` when given; otherwise it is ``loss(w, batch)`` and counts as
-        one more training-loss evaluation. Each table entry counts as one
-        evaluation, however it is computed, and every entry is computed,
+        ``l0`` when given; otherwise it is ``loss(w, batch)``, bit for bit in
+        every problem, and counts as one more training-loss evaluation. Each
+        table entry counts as one evaluation, and every entry is computed,
         finite or not. This default evaluates them one by one in group-major
-        order on one reused copy of ``w``. An override must give the same
-        anchor and the same table, and must fall back on this default for any
-        layout it was not written for.
+        order on one reused copy of ``w``. An override's table equals it bit
+        for bit, except multitask's, whose sums run in another order, so it
+        agrees to rounding; an override takes this default for other layouts.
         """
         if l0 is None:
             l0 = self.loss(w, batch)

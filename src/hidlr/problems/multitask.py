@@ -6,7 +6,9 @@ binary classification task per column. Task difficulty ramps up across
 tasks: labels come from a linear score plus Gaussian noise whose scale
 grows linearly from 0.1 (first task) to 2.0 (last), so later tasks are
 intrinsically harder to learn. Each head column is its own parameter
-group, named ``task0`` .. ``task{K-1}``.
+group, named ``task0`` .. ``task{K-1}``. The map is frozen, so each
+split's ``Dataset`` holds the feature rows, not the raw inputs, and every
+training logit is multiplied from them in 64-row blocks (``PROBE_ROWS``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ FEATURE_DIM = 512
 INPUT_DIM = 16
 NOISE_MIN = 0.1
 NOISE_MAX = 2.0
-PROBE_ROWS = 64  # feature rows a probe set gathers at a time
+PROBE_ROWS = 64  # feature rows multiplied (and, from a batch, gathered) at a time
 
 
 class MultitaskHeadProblem(LossProblem):
@@ -42,9 +44,8 @@ class MultitaskHeadProblem(LossProblem):
         self._label_dirs = rng.standard_normal((FEATURE_DIM, n_tasks)) / np.sqrt(
             FEATURE_DIM
         )
-        # the feature map is frozen, so activations never change across steps
-        self.train, self._z_train = self._make_split(rng, n_train, "train")
-        self.test, self._z_test = self._make_split(rng, n_test, "test")
+        self.train = self._make_split(rng, n_train, "train")
+        self.test = self._make_split(rng, n_test, "test")
 
         self.dim = FEATURE_DIM * n_tasks
         self.default_layout = GroupLayout.from_sizes(
@@ -52,16 +53,12 @@ class MultitaskHeadProblem(LossProblem):
         )
         self.name = "multitask"
 
-    def _make_split(
-        self, rng: np.random.Generator, n: int, split: str
-    ) -> tuple[Dataset, np.ndarray]:
-        """(Dataset, its feature rows ``z``) for ``n`` fresh labelled rows."""
-        x = rng.standard_normal((n, INPUT_DIM))
-        z = self.features(x)
+    def _make_split(self, rng: np.random.Generator, n: int, split: str) -> Dataset:
+        """``n`` fresh labelled rows, held as their feature rows ``z``."""
+        z = self.features(rng.standard_normal((n, INPUT_DIM)))
         score = z @ self._label_dirs  # (n, K)
         noise = rng.standard_normal(score.shape) * self.noise_scales[None, :]
-        y = (score + noise > 0).astype(np.float64)
-        return Dataset(x, y, split=split), z
+        return Dataset(z, (score + noise > 0).astype(np.float64), split=split)
 
     def features(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x @ self._fmap)
@@ -73,24 +70,27 @@ class MultitaskHeadProblem(LossProblem):
         # row k of the (K, 512) view is head column k == parameter group k
         return w.reshape(self.n_tasks, FEATURE_DIM)
 
-    def _resolve_z(self, batch):
-        """Cached feature rows and targets for a train batch (None = all)."""
-        batch = self.check_batch(batch)
-        if batch is None:
-            return self._z_train, self.train.targets
-        return self._z_train[batch], self.train.targets[batch]
+    def _logits(self, z, batch, *heads) -> list[np.ndarray]:
+        """``z[batch] @ head.T`` per head, in ``PROBE_ROWS``-row blocks: every training logit."""
+        n = len(z) if batch is None else len(batch)
+        out = [np.empty((n, self.n_tasks)) for _ in heads]
+        for lo, hi in row_chunks(n, PROBE_ROWS, least=PROBE_ROWS):
+            rows = z[lo:hi] if batch is None else z[batch[lo:hi]]
+            for head, logits in zip(heads, out):
+                np.matmul(rows, self._head(head).T, out=logits[lo:hi])
+            del rows  # the next block's rows replace these, never join them
+        return out
 
     def loss(self, w, batch=None) -> float:
-        w = self.check_w(w)
-        z, y = self._resolve_z(batch)
-        logits = z @ self._head(w).T  # (B, K)
+        batch = self.check_batch(batch)
+        y = self.train.targets if batch is None else self.train.targets[batch]
+        logits = self._logits(self.train.features, batch, self.check_w(w))[0]
         bce_into(logits, y, out=logits)
         return float(np.mean(logits))
 
     def loss_and_grad(self, w, batch=None):
-        w = self.check_w(w)
-        z, y = self._resolve_z(batch)
-        loss, dlogits = bce_loss_and_grad(z @ self._head(w).T, y)  # (B, K) logits
+        z, y = self.resolve_batch(batch)  # gathered once: the gradient reads every row
+        loss, dlogits = bce_loss_and_grad(self._logits(z, None, self.check_w(w))[0], y)
         return loss, (dlogits.T @ z).ravel()
 
     def probe_losses(self, w, d, layout, xi, batch=None, l0=None):
@@ -99,27 +99,17 @@ class MultitaskHeadProblem(LossProblem):
         Moving head k by -xi * d_k moves only logit column k, by -xi * z d_k.
         So each probe's loss is the base loss with column k's BCE sum
         replaced, one (B, K) BCE per multiplier in one reused buffer. The
-        sums run in another order than a full forward, so losses agree to
-        rounding, not bits. Without ``l0`` the anchor is the base loss.
-
-        The two products gather the batch's feature rows ``PROBE_ROWS`` at a
-        time (a shorter last chunk joins the one before), never the whole
-        batch's rows at once. They keep a one-pass product's bits where BLAS
-        gives a ``PROBE_ROWS``-row block the kernel it gives the batch, as
-        OpenBLAS does at the preset's 40 tasks; at 8 tasks and 256 rows it
-        does not, and the anchor matches ``loss`` only to rounding.
+        sums run in another order than the default loop, so the table agrees
+        with it to rounding, not bits. The base logits come from ``_logits``
+        as ``loss``'s do, so without ``l0`` the anchor is ``loss(w, batch)``
+        bit for bit.
         """
         if layout != self.default_layout:
             return super().probe_losses(w, d, layout, xi, batch, l0)
         batch = self.check_batch(batch)
         y = self.train.targets if batch is None else self.train.targets[batch]
-        head, slope_head = self._head(self.check_w(w)).T, self._head(self.check_w(d)).T
-        logits, slopes = np.empty(y.shape), np.empty(y.shape)  # (B, K)
-        for lo, hi in row_chunks(y.shape[0], PROBE_ROWS, least=PROBE_ROWS):
-            z = self._z_train[lo:hi] if batch is None else self._z_train[batch[lo:hi]]
-            np.matmul(z, head, out=logits[lo:hi])
-            np.matmul(z, slope_head, out=slopes[lo:hi])
-            del z  # the next chunk's rows replace these, never join them
+        w, d = self.check_w(w), self.check_w(d)
+        logits, slopes = self._logits(self.train.features, batch, w, d)  # (B, K) each
         buf = np.empty_like(logits)
         bce_into(logits, y, out=buf)
         if l0 is None:
@@ -135,7 +125,8 @@ class MultitaskHeadProblem(LossProblem):
         return l0, out
 
     def test_metrics(self, w) -> dict:
-        logits = self._z_test @ self._head(self.check_w(w)).T
+        # one pass over the test rows: nothing compares these bits
+        logits = self.test.features @ self._head(self.check_w(w)).T
         y = self.test.targets
         accuracy = float(np.mean((logits > 0) == (y > 0.5)))
         bce_into(logits, y, out=logits)

@@ -115,6 +115,16 @@ class TestRunCommand:
         ]
         assert not out.exists()
 
+    def test_fresh_probe_batch_without_a_dataset_exits_2(self, repo_root, tmp_path, capsys):
+        config = str(repo_root / "configs" / "ellipse.yaml")
+        args = ["--override", "hidlr.fresh_probe_batch=true", "--out", str(tmp_path / "out")]
+        assert main(["run", config, *args]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "runtime error: run problem=ellipse seed=0: "
+            "hidlr.fresh_probe_batch needs a dataset; ellipse has none"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_diverging_baseline_exits_2(self, repo_root, tmp_path, capsys):
         config = repo_root / "configs" / "nam-synthetic.yaml"
         args = ["--override", "method=constant", "--override", "base_lr=0.02"]
@@ -164,6 +174,11 @@ class TestRunCommand:
              "optimizer_params.beta1 must be a finite number in [0, 1), got 1.5"),
             ("lora-synthetic", "optimizer_params.beta2=-1",
              "optimizer_params.beta2 must be a finite number in [0, 1), got -1.0"),
+            ("nam-synthetic", "optimizer_params.weight_decay=0.5",
+             "unknown key(s) optimizer_params.weight_decay; allowed for optimizer sgd: none"),
+            ("lora-synthetic", "optimizer_params.mu=0.5",
+             "unknown key(s) optimizer_params.mu; "
+             "allowed for optimizer adamw: beta1, beta2, eps, weight_decay"),
             ("ellipse", "hidlr.eta0=abc", "eta0 must be a number, got 'abc'"),
             ("ellipse", "hidlr.eta0=[1e-3, -1]", "eta0 must be a finite number > 0, got -1.0"),
             ("ellipse", "hidlr.eta0=true", "eta0 must be a number, got True"),

@@ -105,6 +105,22 @@ class TestStrictKeys:
         with pytest.raises(ParseError, match=r"optimizer_params\.beta3"):
             config_from_dict({**MINIMAL, "optimizer_params": {"beta3": 0.9}})
 
+    @pytest.mark.parametrize(
+        "optimizer, reads",
+        [("sgd", ()), ("momentum", ("mu",)), ("adamw", ("beta1", "beta2", "eps", "weight_decay"))],
+    )
+    def test_optimizer_params_limited_to_what_the_optimizer_reads(self, optimizer, reads):
+        raw = {**MINIMAL, "optimizer": optimizer}
+        params = dict.fromkeys(reads, 0.5)
+        assert config_from_dict({**raw, "optimizer_params": params}).optimizer_params == params
+        for key in {"beta1", "beta2", "eps", "mu", "weight_decay"} - set(reads):
+            message = (
+                f"unknown key(s) optimizer_params.{key}; "
+                f"allowed for optimizer {optimizer}: {', '.join(reads) or 'none'}"
+            )
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                config_from_dict({**raw, "optimizer_params": {**params, key: 0.5}})
+
     @pytest.mark.parametrize("missing", ["problem", "method", "seed"])
     def test_missing_required_key(self, missing):
         raw = dict(MINIMAL)
@@ -214,7 +230,8 @@ class TestValueValidation:
         ],
     )
     def test_optimizer_params_checked_on_load(self, key, value):
-        raw = {**MINIMAL, "optimizer": "adamw", "optimizer_params": {key: value}}
+        optimizer = "momentum" if key == "mu" else "adamw"  # the one that reads the key
+        raw = {**MINIMAL, "optimizer": optimizer, "optimizer_params": {key: value}}
         with pytest.raises(ValidationError, match=f"^optimizer_params.{key} must be"):
             config_from_dict(raw)
 

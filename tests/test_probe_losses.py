@@ -1,5 +1,6 @@
 """Structured ``probe_losses`` overrides against the generic probe loop."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -66,6 +67,29 @@ def test_matches_generic_loop(name, seed):
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0.0)
     else:
         assert np.array_equal(fast, slow)
+
+
+ANCHOR_CASES = [
+    *(pytest.param(name, None, id=name) for name in PROBLEM_NAMES if name != "multitask"),
+    *(pytest.param("multitask", k, id=f"multitask-{k}") for k in (2, 3, 8, 16, 40)),
+]
+
+
+@pytest.mark.parametrize("name, n_tasks", ANCHOR_CASES)
+def test_computed_anchor_is_the_loss_bit_for_bit(name, n_tasks):
+    params = PARAMS.get(name) if n_tasks is None else {"n_tasks": n_tasks}
+    problem = build_problem(name, make_rng(0), params)
+    layout = problem.default_layout
+    sizes = (None,) if problem.train is None else (1, 63, 65, 128, 256, None)
+    for rows, seed in itertools.product(sizes, range(10)):
+        rng = make_rng(seed)
+        w = problem.init_params(rng) + 0.1 * rng.standard_normal(problem.dim)
+        batch = None if rows is None else rng.choice(problem.train.n, rows, replace=False)
+        d = problem.grad(w, batch)
+        xi = build_probe_matrix(10.0 ** rng.uniform(-4, -1, layout.k)).xi_table()
+        anchor, _ = problem.probe_losses(w, d, layout, xi, batch, l0=None)
+        losses = (anchor, problem.loss(w, batch), problem.loss_and_grad(w, batch)[0])
+        assert len(set(losses)) == 1, f"batch of {rows} rows, seed {seed}: {losses}"
 
 
 @pytest.mark.parametrize(

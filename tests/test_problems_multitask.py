@@ -11,7 +11,7 @@ from hidlr.linalg import make_rng
 from hidlr.optim import OptimizerState
 from hidlr.problems import MultitaskHeadProblem, bce_with_logits, multitask, sigmoid
 from hidlr.problems.base import bce_into, bce_loss_and_grad
-from hidlr.problems.multitask import FEATURE_DIM, NOISE_MAX, NOISE_MIN
+from hidlr.problems.multitask import FEATURE_DIM, INPUT_DIM, NOISE_MAX, NOISE_MIN
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +107,14 @@ class TestMultitask:
         assert lay.lengths == (FEATURE_DIM,) * 8
         assert lay.names == tuple(f"task{k}" for k in range(8))
 
-    def test_cached_features_are_the_feature_map(self, problem):
-        for z, split in ((problem._z_train, problem.train), (problem._z_test, problem.test)):
-            assert z.tobytes() == problem.features(split.features).tobytes()
+    def test_splits_hold_the_feature_map_of_their_inputs(self, problem):
+        rng = make_rng(0)  # redraw the inputs in the order the build draws them
+        rng.standard_normal((INPUT_DIM, FEATURE_DIM))  # the feature map
+        rng.standard_normal((FEATURE_DIM, 8))  # the label directions
+        for split in (problem.train, problem.test):
+            x = rng.standard_normal((split.n, INPUT_DIM))
+            assert split.features.tobytes() == problem.features(x).tobytes()
+            rng.standard_normal((split.n, 8))  # the label noise
 
     def test_forty_task_configuration(self):
         p = MultitaskHeadProblem(make_rng(1), n_tasks=40, n_train=64, n_test=32)
@@ -119,7 +124,7 @@ class TestMultitask:
     def test_zero_head_loss_is_ln2(self, problem):
         w = np.zeros(problem.dim)
         assert problem.loss(w) == pytest.approx(np.log(2.0), rel=1e-12)
-        logits = problem._z_test @ w.reshape(8, FEATURE_DIM).T
+        logits = problem.test.features @ w.reshape(8, FEATURE_DIM).T
         per_task = bce_with_logits(logits, problem.test.targets).mean(axis=0)
         assert np.allclose(per_task, np.log(2.0), rtol=1e-12)
 
@@ -160,7 +165,7 @@ class TestMultitask:
         w = np.zeros(problem.dim)
         for _ in range(50):
             w = w - 1.0 * problem.grad(w)
-        logits = problem._z_train @ w.reshape(8, FEATURE_DIM).T
+        logits = problem.train.features @ w.reshape(8, FEATURE_DIM).T
         per_task = bce_with_logits(logits, problem.train.targets).mean(axis=0)
         assert per_task[0] < per_task[-1]
 
