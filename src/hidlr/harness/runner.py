@@ -177,6 +177,8 @@ def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record
     hcfg = cfg.hidlr if rate_at is None else None
     if hcfg is not None and hcfg.fresh_probe_batch and problem.train is None:
         raise ValidationError(f"hidlr.fresh_probe_batch needs a dataset; {problem.name} has none")
+    if cfg.batch_size is not None and problem.train is None:
+        raise ValidationError(f"batch_size needs a dataset; {problem.name} has none")
     opt = OptimizerState.create(cfg.optimizer, problem.dim, **cfg.optimizer_params)
     total = schedule.total_steps
     if hcfg is not None:

@@ -90,7 +90,6 @@ class Dataset:
 
     features: np.ndarray  # (n, d)
     targets: np.ndarray  # (n,) or (n, m)
-    split: str = "full"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -155,8 +154,8 @@ def row_chunks(n: int, rows: int, least: int = 2) -> list[tuple[int, int]]:
 def split_dataset(ds: Dataset, train_fraction: float = 0.8) -> tuple[Dataset, Dataset]:
     """Deterministic head/tail split (rows assumed already in random order)."""
     n_train = int(round(ds.n * train_fraction))
-    tr = Dataset(ds.features[:n_train], ds.targets[:n_train], split="train")
-    te = Dataset(ds.features[n_train:], ds.targets[n_train:], split="test")
+    tr = Dataset(ds.features[:n_train], ds.targets[:n_train])
+    te = Dataset(ds.features[n_train:], ds.targets[n_train:])
     return tr, te
 
 

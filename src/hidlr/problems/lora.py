@@ -34,8 +34,8 @@ class LoraRegressionProblem(LossProblem):
         self.teacher = rng.standard_normal((width, width)) / np.sqrt(width)
         x_tr = rng.standard_normal((n_train, width))
         x_te = rng.standard_normal((n_test, width))
-        self.train = Dataset(x_tr, x_tr @ self.teacher.T, split="train")
-        self.test = Dataset(x_te, x_te @ self.teacher.T, split="test")
+        self.train = Dataset(x_tr, x_tr @ self.teacher.T)
+        self.test = Dataset(x_te, x_te @ self.teacher.T)
         self._carving = Carving([(rank, width), (width, rank)])
         self.dim = self._carving.size
         self.default_layout = GroupLayout.from_sizes(

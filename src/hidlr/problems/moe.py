@@ -36,13 +36,13 @@ def moe_label_rule(x: np.ndarray) -> np.ndarray:
     return (np.sin(x[:, 0]) + np.cos(x[:, 1]) > 0).astype(np.float64)
 
 
-def _make_split(rng, n, flip_fraction, split):
+def _make_split(rng, n, flip_fraction):
     lo, hi = INPUT_RANGE
     x = rng.uniform(lo, hi, size=(n, 2))
     y = moe_label_rule(x)
     flips = rng.random(n) < flip_fraction
     y[flips] = 1.0 - y[flips]
-    return Dataset(x, y, split=split)
+    return Dataset(x, y)
 
 
 class MoeProblem(LossProblem):
@@ -59,8 +59,8 @@ class MoeProblem(LossProblem):
         flip_fraction = check_real("flip_fraction", flip_fraction)
         if not 0.0 <= flip_fraction <= 1.0:
             raise ValidationError(f"flip_fraction must be in [0, 1], got {flip_fraction}")
-        self.train = _make_split(rng, n_train, flip_fraction, "train")
-        self.test = _make_split(rng, n_test, flip_fraction, "test")
+        self.train = _make_split(rng, n_train, flip_fraction)
+        self.test = _make_split(rng, n_test, flip_fraction)
 
         self.gate_size = GATE.size
         self.expert_size = EXPERT.size

@@ -6,9 +6,9 @@ binary classification task per column. Task difficulty ramps up across
 tasks: labels come from a linear score plus Gaussian noise whose scale
 grows linearly from 0.1 (first task) to 2.0 (last), so later tasks are
 intrinsically harder to learn. Each head column is its own parameter
-group, named ``task0`` .. ``task{K-1}``. The map is frozen, so each
-split's ``Dataset`` holds the feature rows, not the raw inputs, and every
-training logit is multiplied from them in 64-row blocks (``PROBE_ROWS``).
+group, named ``task0`` .. ``task{K-1}``. The map is frozen, so splits hold
+feature rows, not raw inputs. No call holds a gathered batch: every training
+logit comes from 64-row blocks, and a batch's gradient from 64-column blocks.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ INPUT_DIM = 16
 NOISE_MIN = 0.1
 NOISE_MAX = 2.0
 PROBE_ROWS = 64  # feature rows multiplied (and, from a batch, gathered) at a time
+GRAD_COLUMNS = 64  # feature columns of a batch gathered per gradient block
 
 
 class MultitaskHeadProblem(LossProblem):
@@ -44,8 +45,8 @@ class MultitaskHeadProblem(LossProblem):
         self._label_dirs = rng.standard_normal((FEATURE_DIM, n_tasks)) / np.sqrt(
             FEATURE_DIM
         )
-        self.train = self._make_split(rng, n_train, "train")
-        self.test = self._make_split(rng, n_test, "test")
+        self.train = self._make_split(rng, n_train)
+        self.test = self._make_split(rng, n_test)
 
         self.dim = FEATURE_DIM * n_tasks
         self.default_layout = GroupLayout.from_sizes(
@@ -53,12 +54,12 @@ class MultitaskHeadProblem(LossProblem):
         )
         self.name = "multitask"
 
-    def _make_split(self, rng: np.random.Generator, n: int, split: str) -> Dataset:
+    def _make_split(self, rng: np.random.Generator, n: int) -> Dataset:
         """``n`` fresh labelled rows, held as their feature rows ``z``."""
         z = self.features(rng.standard_normal((n, INPUT_DIM)))
         score = z @ self._label_dirs  # (n, K)
         noise = rng.standard_normal(score.shape) * self.noise_scales[None, :]
-        return Dataset(z, (score + noise > 0).astype(np.float64), split=split)
+        return Dataset(z, (score + noise > 0).astype(np.float64))
 
     def features(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x @ self._fmap)
@@ -89,9 +90,17 @@ class MultitaskHeadProblem(LossProblem):
         return float(np.mean(logits))
 
     def loss_and_grad(self, w, batch=None):
-        z, y = self.resolve_batch(batch)  # gathered once: the gradient reads every row
-        loss, dlogits = bce_loss_and_grad(self._logits(z, None, self.check_w(w))[0], y)
-        return loss, (dlogits.T @ z).ravel()
+        batch = self.check_batch(batch)
+        y = self.train.targets if batch is None else self.train.targets[batch]
+        z = self.train.features
+        loss, dlogits = bce_loss_and_grad(self._logits(z, batch, self.check_w(w))[0], y)
+        if batch is None:  # nothing to gather; one pass, as a strided column view moves bits
+            return loss, (dlogits.T @ z).ravel()
+        g = np.empty((self.n_tasks, FEATURE_DIM))  # gemm fills column blocks alone: same bits
+        for lo in range(0, FEATURE_DIM, GRAD_COLUMNS):
+            cols = slice(lo, lo + GRAD_COLUMNS)
+            np.matmul(dlogits.T, z[batch, cols], out=g[:, cols])
+        return loss, g.ravel()
 
     def probe_losses(self, w, d, layout, xi, batch=None, l0=None):
         """Probe losses from two head products, using the head's linearity.

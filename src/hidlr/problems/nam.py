@@ -55,7 +55,7 @@ def make_nam_synthetic(rng: np.random.Generator) -> Dataset:
         y += fn(x[:, j])
     y += NAM_NOISE_STD * rng.standard_normal(NAM_N_ROWS)
     y = (y - y.mean()) / y.std()
-    return Dataset(x, y, split="full")
+    return Dataset(x, y)
 
 
 def _with_ones(column: np.ndarray) -> np.ndarray:

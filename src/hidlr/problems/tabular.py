@@ -89,6 +89,6 @@ def load_csv_tabular(
     ym, ys = y[:n_train].mean(), y[:n_train].std()
     x = zscore(x, xm, xs)
     y = zscore(y, ym, ys)
-    train = Dataset(x[:n_train], y[:n_train], split="train")
-    test = Dataset(x[n_train:], y[n_train:], split="test")
+    train = Dataset(x[:n_train], y[:n_train])
+    test = Dataset(x[n_train:], y[n_train:])
     return train, test

@@ -125,6 +125,15 @@ class TestRunCommand:
         ]
         assert not (tmp_path / "out").exists()
 
+    def test_batch_size_without_a_dataset_exits_2(self, repo_root, tmp_path, capsys):
+        config = str(repo_root / "configs" / "ellipse.yaml")
+        args = ["--override", "batch_size=4", "--out", str(tmp_path / "out")]
+        assert main(["run", config, *args]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "runtime error: run problem=ellipse seed=0: batch_size needs a dataset; ellipse has none"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_diverging_baseline_exits_2(self, repo_root, tmp_path, capsys):
         config = repo_root / "configs" / "nam-synthetic.yaml"
         args = ["--override", "method=constant", "--override", "base_lr=0.02"]

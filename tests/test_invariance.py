@@ -1,0 +1,100 @@
+"""Metamorphic test: the controller's rates do not depend on the loss's units.
+
+Every training loss, gradient and probe table times c scales each fitted a
+and b by c. Under AdamW the direction is unit-free once ``eps`` scales by c,
+so b/a and the rates stay as they were. Under SGD the direction scales by c,
+so rates, clamps and probe floor divided by c give the same steps. At c = 4,
+a power of two, the two runs share every bit.
+"""
+
+import numpy as np
+import pytest
+
+from hidlr.controller import HiDlrConfig
+from hidlr.harness import runner
+from hidlr.harness.config import config_from_dict, load_config_dict
+from hidlr.optim import OptimizerState
+
+from conftest import REPO_ROOT
+
+C = 4.0
+# preset -> overrides that keep the run short; all fourteen runs take about 2 s
+SHORT_RUNS = {
+    "ellipse": {},
+    "beale-rosenbrock": {},
+    "lora-synthetic": {"iterations": 200},
+    "moe": {"epochs": 10},
+    "multitask": {"epochs": 10},
+    "california-housing": {"epochs": 20},
+    "nam-synthetic": {"epochs": 10},
+}
+SGD_KNOBS = ("eta0", "eta_min", "eta_max", "probe_floor")
+
+
+class ScaledLoss:
+    """``inner`` with every training loss, gradient and probe table times ``C``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def loss(self, w, batch=None):
+        return C * self.inner.loss(w, batch)
+
+    def loss_and_grad(self, w, batch=None):
+        loss, grad = self.inner.loss_and_grad(w, batch)
+        return C * loss, C * grad
+
+    def grad(self, w, batch=None):
+        return self.loss_and_grad(w, batch)[1]
+
+    def probe_losses(self, w, d, layout, xi, batch=None, l0=None):
+        inner_l0 = None if l0 is None else l0 / C  # a given l0 is already scaled
+        anchor, table = self.inner.probe_losses(w, d, layout, xi, batch, inner_l0)
+        return C * anchor, C * table
+
+
+def preset_config(name, scaled):
+    """The shortened preset; ``scaled`` rescales the knobs that carry the loss's units."""
+    raw = load_config_dict(REPO_ROOT / "configs" / f"{name}.yaml")
+    raw.update(SHORT_RUNS[name])
+    params = raw.get("problem_params") or {}
+    if "csv_path" in params:
+        params["csv_path"] = str(REPO_ROOT / params["csv_path"])
+    if scaled and raw["optimizer"] == "sgd":
+        hidlr = raw.setdefault("hidlr", {})
+        for knob in SGD_KNOBS:
+            hidlr[knob] = hidlr.get(knob, getattr(HiDlrConfig, knob)) / C
+    elif scaled:
+        assert raw["optimizer"] == "adamw"
+        opt = raw.setdefault("optimizer_params", {})
+        opt["eps"] = opt.get("eps", OptimizerState.eps) * C
+    return config_from_dict(raw)
+
+
+def decisions(record):
+    log = record.refreshes
+    return "".join("A" if ok else "R" for ok in log.accepted[: log.n]), log.reason[: log.n]
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_RUNS))
+def test_rates_do_not_depend_on_the_loss_units(name, monkeypatch):
+    cfg = preset_config(name, scaled=False)
+    base = runner.run_experiment(cfg)
+    build = runner.build_problem
+    monkeypatch.setattr(runner, "build_problem", lambda *args: ScaledLoss(build(*args)))
+    scaled = runner.run_experiment(preset_config(name, scaled=True))
+
+    accepts, reasons = decisions(base)
+    assert "A" in accepts and "R" in accepts  # a run that never flips would show little
+    assert decisions(scaled) == (accepts, reasons)
+    # SGD's rates carry the loss's inverse units; AdamW's carry none
+    unit = C if cfg.optimizer == "sgd" else 1.0
+    assert len(scaled.rows) == len(base.rows)
+    for row, scaled_row in zip(base.rows, scaled.rows):
+        for key in ("test_loss", "test_accuracy"):
+            assert scaled_row.get(key) == row.get(key)  # bit-equal: the test split is unscaled
+        assert scaled_row["train_loss"] == C * row["train_loss"]
+        assert (np.asarray(scaled_row["eta"]) * unit).tobytes() == np.asarray(row["eta"]).tobytes()

@@ -1,5 +1,6 @@
 """Multi-task linear head on frozen random features."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from hidlr.linalg import make_rng
 from hidlr.optim import OptimizerState
 from hidlr.problems import MultitaskHeadProblem, bce_with_logits, multitask, sigmoid
 from hidlr.problems.base import bce_into, bce_loss_and_grad
-from hidlr.problems.multitask import FEATURE_DIM, INPUT_DIM, NOISE_MAX, NOISE_MIN
+from hidlr.problems.multitask import FEATURE_DIM, INPUT_DIM, NOISE_MAX, NOISE_MIN, PROBE_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ def test_bce_kernel_nan_gives_nan():
     assert np.isnan(dz[:2]).all() and np.isfinite(dz[2])
 
 
-def test_warm_refresh_step_peak_is_one_batch_of_rows_and_five_logit_arrays():
+def test_warm_refresh_step_peak_is_one_block_of_rows_and_six_logit_arrays():
     problem = MultitaskHeadProblem(make_rng(0), n_tasks=40, n_train=512, n_test=32)
     layout = problem.default_layout
     batch = make_rng(5).choice(problem.train.n, size=256, replace=False)
@@ -81,8 +82,29 @@ def test_warm_refresh_step_peak_is_one_batch_of_rows_and_five_logit_arrays():
     finally:
         tracemalloc.stop()
     assert res.refresh is not None
-    # the gathered feature rows, plus five (B, K) float arrays
-    assert peak < batch.size * FEATURE_DIM * 8 + 5 * batch.size * layout.k * 8
+    # one 64-row block of gathered feature rows, plus six (B, K) float arrays
+    assert peak < PROBE_ROWS * FEATURE_DIM * 8 + 6 * batch.size * layout.k * 8
+
+
+@functools.lru_cache(maxsize=None)
+def head_problem(n_tasks):
+    return MultitaskHeadProblem(make_rng(n_tasks), n_tasks=n_tasks, n_train=512, n_test=32)
+
+
+@pytest.mark.parametrize("n_tasks", [2, 3, 5, 8, 16, 40])
+@pytest.mark.parametrize("batch_size", [1, 2, 63, 64, 65, 255, 256, None])
+def test_column_blocked_grad_bit_equal_to_one_pass(n_tasks, batch_size):
+    problem = head_problem(n_tasks)
+    features, targets = problem.train.features, problem.train.targets
+    for seed in range(3):
+        rng = make_rng(seed)
+        w = 0.1 * rng.standard_normal(problem.dim)
+        batch = None if batch_size is None else rng.choice(problem.train.n, batch_size, False)
+        loss, grad = problem.loss_and_grad(w, batch)
+        z, y = (features, targets) if batch is None else (features[batch], targets[batch])
+        one_loss, dlogits = bce_loss_and_grad(problem._logits(features, batch, w)[0], y)
+        assert loss == one_loss
+        assert grad.tobytes() == (dlogits.T @ z).ravel().tobytes()
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 63, 64, 65, 66, 129, 130, 256, None])
