@@ -20,7 +20,7 @@ from ..problems import PROBLEM_NAMES
 from .config import apply_overrides, config_from_dict, load_config_dict
 from .diagnostics import pooled_r2_from_rows, taylor_diagnostics
 from .metrics import emit_metrics, write_jsonl
-from .runner import run_experiment, set_up_run
+from .runner import check_dataset_settings, run_experiment, set_up_run
 
 CONFIG_ERROR, RUNTIME_ERROR = 1, 2
 
@@ -94,6 +94,7 @@ def _cmd_run(cfg) -> int:
 
 def _cmd_diag(cfg) -> int:
     problem, layout, w, _, _ = set_up_run(cfg)
+    check_dataset_settings(problem, cfg, cfg.hidlr)
     opt = OptimizerState.create(cfg.optimizer, problem.dim, **cfg.optimizer_params)
     d = direction(opt, problem.grad(w), w)
 

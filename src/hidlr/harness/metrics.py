@@ -4,7 +4,7 @@ Output is byte-deterministic for a fixed record: keys are sorted, floats
 use Python's shortest-roundtrip repr, and line endings are fixed to \\n.
 This module owns the ``probes.jsonl`` format: a run keeps its refreshes as
 the columns of a ``RefreshLog``, and the probe lines are written straight
-from them.
+from them. A run keeps its metric rows as their ``dump_line`` lines.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def emit_metrics(record, out_dir) -> dict:
         "probes": out / PROBES_FILE,
         "summary": out / SUMMARY_FILE,
     }
-    write_jsonl(paths["metrics"], record.rows)
+    write_lines(paths["metrics"], record.metric_lines)
     write_lines(paths["probes"], record.probe_lines())
     write_lines(paths["summary"], [json.dumps(record.summary, sort_keys=True, indent=2) + "\n"])
     return paths

@@ -33,7 +33,7 @@ from ..optim import (
 from ..problems import build_problem, group_params
 from ..problems.base import LossProblem
 from .config import ExperimentConfig
-from .metrics import RefreshLog, clean
+from .metrics import RefreshLog, clean, dump_line
 
 
 class CountingProblem:
@@ -85,12 +85,18 @@ class CountingProblem:
 class RunRecord:
     """Everything a run emits: metric rows, the refresh log and a summary.
 
-    ``refreshes`` is None for a run that never refreshes.
+    Each metric row is held as its ``metrics.jsonl`` line. ``refreshes`` is
+    None for a run that never refreshes.
     """
 
-    rows: list = field(default_factory=list)
+    metric_lines: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     refreshes: Optional[RefreshLog] = None
+
+    @property
+    def rows(self) -> list:
+        """The rows of ``metrics.jsonl``, parsed from its lines."""
+        return [json.loads(line) for line in self.metric_lines]
 
     def probe_lines(self) -> Iterator[str]:
         """The lines of ``probes.jsonl``."""
@@ -160,7 +166,15 @@ def _eval_row(problem, w, t, schedule, epoch_losses, eta, record):
     }
     if metrics:
         row.update({k: clean(v) for k, v in metrics.items()})
-    record.rows.append(row)
+    record.metric_lines.append(dump_line(row))
+
+
+def check_dataset_settings(problem, cfg: ExperimentConfig, hcfg) -> None:
+    """Reject a dataset-only setting on a problem without data (``hcfg`` None: no probes)."""
+    if hcfg is not None and hcfg.fresh_probe_batch and problem.train is None:
+        raise ValidationError(f"hidlr.fresh_probe_batch needs a dataset; {problem.name} has none")
+    if cfg.batch_size is not None and problem.train is None:
+        raise ValidationError(f"batch_size needs a dataset; {problem.name} has none")
 
 
 def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record, rate_at=None):
@@ -175,10 +189,7 @@ def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record
     """
     w = start.pop()
     hcfg = cfg.hidlr if rate_at is None else None
-    if hcfg is not None and hcfg.fresh_probe_batch and problem.train is None:
-        raise ValidationError(f"hidlr.fresh_probe_batch needs a dataset; {problem.name} has none")
-    if cfg.batch_size is not None and problem.train is None:
-        raise ValidationError(f"batch_size needs a dataset; {problem.name} has none")
+    check_dataset_settings(problem, cfg, hcfg)
     opt = OptimizerState.create(cfg.optimizer, problem.dim, **cfg.optimizer_params)
     total = schedule.total_steps
     if hcfg is not None:
@@ -288,7 +299,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             f"run problem={cfg.problem} seed={cfg.seed}: {exc}"
         ) from exc
 
-    final_row = record.rows[-1] if record.rows else {}
+    final_row = json.loads(record.metric_lines[-1]) if record.metric_lines else {}
     record.summary["final"] = {
         k: final_row.get(k)
         for k in ("train_loss", "train_loss_last", "test_loss", "test_accuracy")

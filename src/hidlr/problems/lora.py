@@ -60,22 +60,26 @@ class LoraRegressionProblem(LossProblem):
         return _half_mse(x @ a.T, b, y)
 
     def probe_losses(self, w, d, layout, xi, batch=None, l0=None):
-        """Probe losses from one read of the batch.
+        """Probe losses from one gather of the batch rows.
 
-        An A probe recomputes ``x @ A.T`` with the moved A; the B probes
-        and the anchor share the base ``x @ A.T``, formed once. Each loss is
-        ``loss``'s expression on the moved factor, so the table and the
-        anchor equal the default loop's bit for bit.
+        The rows give the base ``x @ A.T`` and each moved A's product and go
+        before the targets come; the B probes and the anchor share the base.
+        Each loss is ``loss``'s expression on the moved factor, so the table
+        and the anchor equal the default loop's bit for bit.
         """
         if layout != self.default_layout:
             return super().probe_losses(w, d, layout, xi, batch, l0)
-        x, y = self.resolve_batch(batch)
+        batch = self.check_batch(batch)
+        x = _take(self.train.features, batch)
         a, b = self._unpack(self.check_w(w))
         da, db = self._unpack(self.check_w(d))
-        out = np.empty(xi.shape)
-        for i, s in enumerate(xi[0]):
-            out[0, i] = _half_mse(x @ (a - s * da).T, b, y)
+        moved = [x @ (a - s * da).T for s in xi[0]]  # (B, r) each
         xa = x @ a.T
+        del x
+        y = _take(self.train.targets, batch)
+        out = np.empty(xi.shape)
+        for i, xa_moved in enumerate(moved):
+            out[0, i] = _half_mse(xa_moved, b, y)
         for i, s in enumerate(xi[1]):
             out[1, i] = _half_mse(xa, b - s * db, y)
         if l0 is None:
@@ -84,17 +88,16 @@ class LoraRegressionProblem(LossProblem):
 
     def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
-        x, y = self.resolve_batch(batch)
+        batch = self.check_batch(batch)
         a, b = self._unpack(w)
-        xa = x @ a.T  # (B, r)
+        xa = _take(self.train.features, batch) @ a.T  # (B, r); the gathered rows go at once
         r = xa @ b.T  # (B, width), the residual once y is subtracted
-        r -= y
-        del y  # freed before the square below
-        loss = float(0.5 * np.sum(r * r) / x.shape[0])
-        r /= x.shape[0]
+        r -= _take(self.train.targets, batch)
+        loss = float(0.5 * np.sum(r * r) / len(xa))
+        r /= len(xa)
         g = np.empty(self.dim)
         ga, gb = self._unpack(g)
-        ga[...] = (b.T @ r.T) @ x
+        ga[...] = (b.T @ r.T) @ _take(self.train.features, batch)  # gathered again, not kept
         gb[...] = r.T @ xa
         return loss, g
 
@@ -102,6 +105,11 @@ class LoraRegressionProblem(LossProblem):
         a, b = self._unpack(self.check_w(w))
         x, y = self.test.features, self.test.targets
         return {"test_loss": _half_mse(x @ a.T, b, y)}
+
+
+def _take(data: np.ndarray, batch) -> np.ndarray:
+    """The rows of ``data`` in ``batch`` (all of them for None)."""
+    return data if batch is None else data[batch]
 
 
 def _half_mse(xa: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,3 +33,14 @@ def assert_bit_identical(x: np.ndarray, y: np.ndarray) -> None:
     """Assert two float arrays are byte-for-byte the same."""
     assert x.shape == y.shape
     assert x.tobytes() == y.tobytes()
+
+
+def peak_bytes(fn):
+    """Peak traced allocation while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -299,3 +299,16 @@ class TestDiagCommand:
         assert {r["group_name"] for r in rows} == {"x", "y"}
         printed = capsys.readouterr().out
         assert "pooled_r2=1.000000" in printed  # quadratic: exact fit
+
+    @pytest.mark.parametrize(
+        "override, key", [("batch_size=4", "batch_size"),
+                          ("hidlr.fresh_probe_batch=true", "hidlr.fresh_probe_batch")],
+    )
+    def test_dataset_setting_on_a_toy_exits_2(self, repo_root, tmp_path, capsys, override, key):
+        config = str(repo_root / "configs" / "ellipse.yaml")
+        args = ["--override", override, "--out", str(tmp_path / "out")]
+        assert main(["diag", config, *args]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"runtime error: {key} needs a dataset; ellipse has none"
+        ]
+        assert not (tmp_path / "out").exists()

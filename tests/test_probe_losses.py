@@ -1,7 +1,6 @@
 """Structured ``probe_losses`` overrides against the generic probe loop."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hidlr.linalg import make_rng
 from hidlr.problems import PROBLEM_NAMES, FunctionProblem, build_problem, group_params
 from hidlr.problems.base import LossProblem
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, peak_bytes
 
 CSV = REPO_ROOT / "data" / "california_stand_in.csv"
 PARAMS = {"california-housing": {"csv_path": str(CSV)}}
@@ -165,17 +164,6 @@ def test_counting_full_probe_set(name):
     w, d, xi, batch = probe_point(inner, 0)
     problem.probe_losses(w, d, inner.default_layout, xi, batch, l0=0.0)
     assert problem.train_loss_calls == 4 * inner.default_layout.k
-
-
-def peak_bytes(fn):
-    """Peak traced allocation while ``fn()`` runs."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_lora_probe_set_peaks_no_higher_than_generic_loop():

@@ -5,11 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hidlr.controller import HiDlrConfig, hidlr_step, initial_lr_state
+from hidlr.controller import HiDlrConfig, build_probe_matrix, hidlr_step, initial_lr_state
 from hidlr.errors import ValidationError
 from hidlr.linalg import make_rng
 from hidlr.optim import OptimizerState
 from hidlr.problems import LoraRegressionProblem
+from hidlr.problems.base import LossProblem
+
+from conftest import peak_bytes
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +20,12 @@ def problem():
     return LoraRegressionProblem(make_rng(0), width=32, rank=3, n_train=200)
 
 
-def test_warm_refresh_step_peak_is_under_four_batch_arrays():
+@pytest.fixture(scope="module")
+def preset():
+    return LoraRegressionProblem(make_rng(0))  # the preset's width 64, rank 4
+
+
+def test_warm_refresh_step_peak_is_under_three_batch_arrays():
     problem = LoraRegressionProblem(make_rng(0))  # the preset's width 64, rank 4
     layout = problem.default_layout
     batch = make_rng(5).choice(problem.train.n, size=128, replace=False)
@@ -32,8 +40,51 @@ def test_warm_refresh_step_peak_is_under_four_batch_arrays():
     finally:
         tracemalloc.stop()
     assert res.refresh is not None
-    # the gathered x and y and one residual hold three (B, width) arrays
-    assert peak < 4 * batch.size * problem.width * 8
+    # a call holds one residual beside the gathered x or y, never beside both
+    assert peak < 3 * batch.size * problem.width * 8
+
+
+def test_loss_and_grad_peak_is_under_two_and_a_half_batch_arrays(preset):
+    batch = make_rng(5).choice(preset.train.n, size=128, replace=False)
+    w = preset.init_params(make_rng(1)) + 0.1 * make_rng(2).standard_normal(preset.dim)
+    peak = peak_bytes(lambda: preset.loss_and_grad(w, batch))
+    # the residual and its square, then the residual and the rows gathered again
+    assert peak < 2.5 * batch.size * preset.width * 8
+
+
+def reference_loss_and_grad(problem, w, batch):
+    """The step from one gather of x and y, residual formed beside both."""
+    x, y = problem.resolve_batch(batch)
+    a, b = problem._unpack(w)
+    xa = x @ a.T
+    r = xa @ b.T
+    r -= y
+    loss = float(0.5 * np.sum(r * r) / x.shape[0])
+    r /= x.shape[0]
+    g = np.empty(problem.dim)
+    ga, gb = problem._unpack(g)
+    ga[...] = (b.T @ r.T) @ x
+    gb[...] = r.T @ xa
+    return loss, g
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("rows", [1, 2, 3, 127, 128, 129, None])
+def test_step_and_probe_set_are_bit_exact(preset, rows, seed):
+    rng = make_rng(seed)
+    w = preset.init_params(rng) + 0.1 * rng.standard_normal(preset.dim)  # B awake
+    batch = None if rows is None else rng.choice(preset.train.n, size=rows, replace=False)
+    loss, g = preset.loss_and_grad(w, batch)
+    ref_loss, ref_g = reference_loss_and_grad(preset, w, batch)
+    assert loss == ref_loss
+    assert g.tobytes() == ref_g.tobytes()
+
+    layout = preset.default_layout
+    xi = build_probe_matrix(10.0 ** rng.uniform(-4, -1, layout.k)).xi_table()
+    anchor, table = preset.probe_losses(w, g, layout, xi, batch)
+    ref_anchor, ref_table = LossProblem.probe_losses(preset, w, g, layout, xi, batch)
+    assert anchor == ref_anchor
+    assert table.tobytes() == ref_table.tobytes()
 
 
 class TestLora:
