@@ -48,6 +48,8 @@ GATING_MODES = ("global", "per-group")
 # a_k must exceed this fraction of |b_k| to count as a positive curvature;
 # guards against astronomically large b/a from noise-level curvature.
 CURVATURE_REL_FLOOR = 1e-12
+# smallest base rate a probe is scaled by; a rate below it is floored here
+PROBE_FLOOR = 1e-12
 
 
 @dataclass
@@ -60,7 +62,7 @@ class HiDlrConfig:
     eta0: Union[float, Sequence[float]] = 1e-3
     eta_min: float = 1e-10
     eta_max: float = 1e2
-    probe_floor: float = 1e-12
+    probe_floor: float = PROBE_FLOOR
     gating: str = "global"
     fresh_probe_batch: bool = False
 
@@ -168,9 +170,7 @@ class RefreshRecord:
     floored: np.ndarray
 
 
-def build_probe_matrix(
-    eta_prev: np.ndarray, probe_floor: float = 1e-12
-) -> ProbeMatrix:
+def build_probe_matrix(eta_prev: np.ndarray, probe_floor: float = PROBE_FLOOR) -> ProbeMatrix:
     """Probes e_k (x) v scaled by the previous rates, floored at probe_floor."""
     eta_prev = np.asarray(eta_prev, dtype=np.float64)
     floored = eta_prev < probe_floor

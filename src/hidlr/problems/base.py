@@ -1,17 +1,19 @@
 """Core data model for loss problems: parameter grouping, datasets, contract.
 
 A problem owns a flat float64 parameter vector of dimension D partitioned
-into K named, contiguous, disjoint groups. ``loss`` and ``grad`` are pure
-functions of (w, batch); batches index into the training split, ``None``
-means full batch (and is the only mode for the 2-D toy functions, which have
-no dataset at all). ``loss_and_grad`` and ``probe_losses`` give all of
-their results from one forward where a problem can.
+into K named, contiguous, disjoint groups. ``loss`` and ``loss_and_grad``
+are pure functions of (w, batch); batches index into the training split,
+``None`` means full batch (and is the only mode for the 2-D toy functions,
+which have no dataset at all). ``loss_and_grad`` is the one gradient a
+problem defines; it and ``probe_losses`` give all of their results from one
+forward where a problem can.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,25 +25,22 @@ from ..errors import LengthMismatch
 class GroupLayout:
     """Partition of a D-dimensional parameter vector into K named segments.
 
-    Segments are contiguous, disjoint, listed in order, and cover [0, D).
+    Segment i holds ``lengths[i]`` coordinates and starts where segment i - 1
+    ends, so the segments are contiguous, disjoint, in order and cover [0, D).
+    The offsets follow from the lengths; a layout is checked when it is made.
     """
 
     names: tuple[str, ...]
-    offsets: tuple[int, ...]
     lengths: tuple[int, ...]
+    offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.validate()
+        object.__setattr__(self, "offsets", tuple(accumulate(self.lengths[:-1], initial=0)))
 
     @staticmethod
     def from_sizes(named_sizes: Sequence[tuple[str, int]]) -> "GroupLayout":
-        names, offsets, lengths = [], [], []
-        cursor = 0
-        for name, size in named_sizes:
-            names.append(name)
-            offsets.append(cursor)
-            lengths.append(int(size))
-            cursor += int(size)
-        layout = GroupLayout(tuple(names), tuple(offsets), tuple(lengths))
-        layout.validate()
-        return layout
+        return GroupLayout(tuple(n for n, _ in named_sizes), tuple(int(s) for _, s in named_sizes))
 
     @property
     def k(self) -> int:
@@ -61,18 +60,11 @@ class GroupLayout:
         """Check the partition invariants; raises LengthMismatch otherwise."""
         if self.k < 1:
             raise LengthMismatch("layout needs at least one group")
-        if not (len(self.names) == len(self.offsets) == len(self.lengths)):
-            raise LengthMismatch("names/offsets/lengths lengths differ")
-        cursor = 0
-        for name, off, length in zip(self.names, self.offsets, self.lengths):
+        if len(self.names) != len(self.lengths):
+            raise LengthMismatch(f"{len(self.names)} names but {len(self.lengths)} lengths")
+        for name, length in zip(self.names, self.lengths):
             if length < 1:
                 raise LengthMismatch(f"group {name!r} has length {length} < 1")
-            if off != cursor:
-                raise LengthMismatch(
-                    f"group {name!r} starts at {off}, expected {cursor} "
-                    "(segments must be contiguous and in order)"
-                )
-            cursor += length
         if len(set(self.names)) != self.k:
             raise LengthMismatch("group names must be unique")
 
@@ -103,8 +95,10 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    def take(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.features[idx], self.targets[idx]
+
+def take(data: np.ndarray, batch: Optional[np.ndarray]) -> np.ndarray:
+    """The rows of ``data`` in ``batch``; ``data`` itself, uncopied, for None (all rows)."""
+    return data if batch is None else data[batch]
 
 
 class Carving:
@@ -163,8 +157,8 @@ class LossProblem:
     """Contract every problem in the zoo implements.
 
     Subclasses set ``dim``, ``default_layout``, ``train``/``test`` (None for
-    pure functions) and implement ``init_params``, ``loss`` and one of
-    ``grad`` and ``loss_and_grad``.
+    pure functions) and implement ``init_params``, ``loss`` and
+    ``loss_and_grad``; ``grad`` is the latter's gradient.
     """
 
     dim: int
@@ -180,19 +174,17 @@ class LossProblem:
         raise NotImplementedError
 
     def grad(self, w: np.ndarray, batch: Optional[np.ndarray] = None) -> np.ndarray:
-        """The gradient half of ``loss_and_grad``, where a subclass overrides that."""
-        if type(self).loss_and_grad is LossProblem.loss_and_grad:
-            raise NotImplementedError(f"{type(self).__name__} has no grad or loss_and_grad")
+        """The gradient half of ``loss_and_grad``."""
         return self.loss_and_grad(w, batch)[1]
 
     def loss_and_grad(
         self, w: np.ndarray, batch: Optional[np.ndarray] = None
     ) -> tuple[float, np.ndarray]:
-        """``(loss(w, batch), grad(w, batch))``; an override shares the forward.
+        """``(loss(w, batch), gradient)`` from one forward: the one gradient a problem defines.
 
-        An override must give the same loss and gradient, bit for bit.
+        The loss must equal ``loss(w, batch)`` bit for bit.
         """
-        return self.loss(w, batch), self.grad(w, batch)
+        raise NotImplementedError(f"{type(self).__name__} has no grad or loss_and_grad")
 
     def test_metrics(self, w: np.ndarray) -> Optional[dict]:
         """Loss (and accuracy, where classification) on the test split."""
@@ -250,9 +242,7 @@ class LossProblem:
     def resolve_batch(self, batch: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Feature/target rows for a batch of train indices (None = all)."""
         batch = self.check_batch(batch)
-        if batch is None:
-            return self.train.features, self.train.targets
-        return self.train.take(batch)
+        return take(self.train.features, batch), take(self.train.targets, batch)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

@@ -25,12 +25,12 @@ def group_params(
     """
     base = problem.default_layout
     if strategy == "default":
-        layout = base
-    elif strategy == "single":
-        layout = GroupLayout.from_sizes([("all", base.dim)])
-    elif strategy == "per-coordinate":
-        layout = GroupLayout.from_sizes([(f"w{i}", 1) for i in range(base.dim)])
-    elif strategy == "named-split":
+        return base
+    if strategy == "single":
+        return GroupLayout.from_sizes([("all", base.dim)])
+    if strategy == "per-coordinate":
+        return GroupLayout.from_sizes([(f"w{i}", 1) for i in range(base.dim)])
+    if strategy == "named-split":
         if not names:
             raise UnknownStrategy("named-split requires at least one group name")
         unknown = [n for n in names if n not in base.names]
@@ -51,8 +51,5 @@ def group_params(
                 rest_len += length
         if rest_len:
             sizes.append((f"rest{rest_idx}", rest_len))
-        layout = GroupLayout.from_sizes(sizes)
-    else:
-        raise UnknownStrategy(f"strategy {strategy!r}; expected one of {STRATEGIES}")
-    layout.validate()
-    return layout
+        return GroupLayout.from_sizes(sizes)
+    raise UnknownStrategy(f"strategy {strategy!r}; expected one of {STRATEGIES}")

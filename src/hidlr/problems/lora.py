@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import check_int
-from .base import Carving, Dataset, GroupLayout, LossProblem
+from .base import Carving, Dataset, GroupLayout, LossProblem, take
 
 
 class LoraRegressionProblem(LossProblem):
@@ -70,13 +70,13 @@ class LoraRegressionProblem(LossProblem):
         if layout != self.default_layout:
             return super().probe_losses(w, d, layout, xi, batch, l0)
         batch = self.check_batch(batch)
-        x = _take(self.train.features, batch)
+        x = take(self.train.features, batch)
         a, b = self._unpack(self.check_w(w))
         da, db = self._unpack(self.check_w(d))
         moved = [x @ (a - s * da).T for s in xi[0]]  # (B, r) each
         xa = x @ a.T
         del x
-        y = _take(self.train.targets, batch)
+        y = take(self.train.targets, batch)
         out = np.empty(xi.shape)
         for i, xa_moved in enumerate(moved):
             out[0, i] = _half_mse(xa_moved, b, y)
@@ -90,14 +90,14 @@ class LoraRegressionProblem(LossProblem):
         w = self.check_w(w)
         batch = self.check_batch(batch)
         a, b = self._unpack(w)
-        xa = _take(self.train.features, batch) @ a.T  # (B, r); the gathered rows go at once
+        xa = take(self.train.features, batch) @ a.T  # (B, r); the gathered rows go at once
         r = xa @ b.T  # (B, width), the residual once y is subtracted
-        r -= _take(self.train.targets, batch)
+        r -= take(self.train.targets, batch)
         loss = float(0.5 * np.sum(r * r) / len(xa))
         r /= len(xa)
         g = np.empty(self.dim)
         ga, gb = self._unpack(g)
-        ga[...] = (b.T @ r.T) @ _take(self.train.features, batch)  # gathered again, not kept
+        ga[...] = (b.T @ r.T) @ take(self.train.features, batch)  # gathered again, not kept
         gb[...] = r.T @ xa
         return loss, g
 
@@ -105,11 +105,6 @@ class LoraRegressionProblem(LossProblem):
         a, b = self._unpack(self.check_w(w))
         x, y = self.test.features, self.test.targets
         return {"test_loss": _half_mse(x @ a.T, b, y)}
-
-
-def _take(data: np.ndarray, batch) -> np.ndarray:
-    """The rows of ``data`` in ``batch`` (all of them for None)."""
-    return data if batch is None else data[batch]
 
 
 def _half_mse(xa: np.ndarray, b: np.ndarray, y: np.ndarray) -> float:

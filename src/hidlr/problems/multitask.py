@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import check_int
-from .base import Dataset, GroupLayout, LossProblem, bce_into, bce_loss_and_grad, row_chunks
+from .base import Dataset, GroupLayout, LossProblem, bce_into, bce_loss_and_grad, row_chunks, take
 
 FEATURE_DIM = 512
 INPUT_DIM = 16
@@ -84,14 +84,14 @@ class MultitaskHeadProblem(LossProblem):
 
     def loss(self, w, batch=None) -> float:
         batch = self.check_batch(batch)
-        y = self.train.targets if batch is None else self.train.targets[batch]
+        y = take(self.train.targets, batch)
         logits = self._logits(self.train.features, batch, self.check_w(w))[0]
         bce_into(logits, y, out=logits)
         return float(np.mean(logits))
 
     def loss_and_grad(self, w, batch=None):
         batch = self.check_batch(batch)
-        y = self.train.targets if batch is None else self.train.targets[batch]
+        y = take(self.train.targets, batch)
         z = self.train.features
         loss, dlogits = bce_loss_and_grad(self._logits(z, batch, self.check_w(w))[0], y)
         if batch is None:  # nothing to gather; one pass, as a strided column view moves bits
@@ -116,7 +116,7 @@ class MultitaskHeadProblem(LossProblem):
         if layout != self.default_layout:
             return super().probe_losses(w, d, layout, xi, batch, l0)
         batch = self.check_batch(batch)
-        y = self.train.targets if batch is None else self.train.targets[batch]
+        y = take(self.train.targets, batch)
         w, d = self.check_w(w), self.check_w(d)
         logits, slopes = self._logits(self.train.features, batch, w, d)  # (B, K) each
         buf = np.empty_like(logits)

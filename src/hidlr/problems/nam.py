@@ -9,7 +9,7 @@ batched matmuls instead of a Python loop over features.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class NamProblem(LossProblem):
         self,
         dataset: Union[Dataset, tuple[Dataset, Dataset]],
         hidden_sizes: Sequence[int] = (32, 32),
-        n_features: Optional[int] = None,
     ):
         if isinstance(dataset, Dataset):
             self.train, self.test = split_dataset(dataset, 0.8)
@@ -86,10 +85,7 @@ class NamProblem(LossProblem):
             raise ValidationError(f"hidden_sizes must be a list of integers, got {hidden_sizes!r}")
         if not hidden_sizes:
             raise DimensionMismatch("hidden_sizes must be nonempty")
-        d = self.train.features.shape[1]
-        if n_features is not None and n_features != d:
-            raise DimensionMismatch(f"{d} dataset features but {n_features} sub-networks")
-        self.n_features = d
+        self.n_features = d = self.train.features.shape[1]
         self.layer_dims = [1, *(check_int("hidden_sizes entry", h) for h in hidden_sizes), 1]
         # One sub-network's flat block: per layer an (in + 1, out) block, the
         # weight rows then the bias row.
@@ -113,12 +109,9 @@ class NamProblem(LossProblem):
             weight[...] = rng.standard_normal(weight.shape) * np.sqrt(2.0 / weight.shape[1])
         return w
 
-    def _layers(self, s: np.ndarray):
-        """(N, in + 1, out) views per layer of N stacked subnets: weight rows, then the bias row."""
-        return self._carving(s)
-
     def _unpack(self, w: np.ndarray):
-        return w[0], self._layers(w[1:].reshape(self.n_features, self.per_subnet))
+        """The bias and, per layer, the (K, in + 1, out) views: weight rows, then the bias row."""
+        return w[0], self._carving(w[1:].reshape(self.n_features, self.per_subnet))
 
     def _buffer(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
         """Workspace slot ``name`` as a contiguous view of ``shape`` (N, rows, width).
@@ -257,7 +250,7 @@ class NamProblem(LossProblem):
         prefix = None  # outs[0] + ... + outs[k - 1]
         for k in range(self.n_features):
             moved = s[k] - xi[k + 1][:, None] * ds[k]  # (n, per_subnet)
-            acc = self._subnets(inputs[k : k + 1], self._layers(moved), probe_slots)[-1][:, :, 0]
+            acc = self._subnets(inputs[k : k + 1], self._carving(moved), probe_slots)[-1][:, :, 0]
             # the sum in ``loss``'s order: outputs before k, probed k, outputs after k
             if prefix is not None:
                 acc += prefix

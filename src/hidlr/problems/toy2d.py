@@ -39,9 +39,9 @@ class FunctionProblem(LossProblem):
         w = self.check_w(w)
         return float(self._fn(w))
 
-    def grad(self, w, batch=None) -> np.ndarray:
+    def loss_and_grad(self, w, batch=None):
         w = self.check_w(w)
-        return np.asarray(self._grad_fn(w), dtype=np.float64)
+        return float(self._fn(w)), np.asarray(self._grad_fn(w), dtype=np.float64)
 
 
 def beale(x: float, y: float) -> float:

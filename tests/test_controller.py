@@ -53,9 +53,9 @@ class PoleProblem(LossProblem):
         x = self.resolve_batch(batch)[0][:, 0]
         return float(np.mean(1.0 / (w[0] - x) ** 2) + w[0] ** 2)
 
-    def grad(self, w, batch=None):
+    def loss_and_grad(self, w, batch=None):
         x = self.resolve_batch(batch)[0][:, 0]
-        return np.array([np.mean(-2.0 / (w[0] - x) ** 3) + 2.0 * w[0]])
+        return self.loss(w, batch), np.array([np.mean(-2.0 / (w[0] - x) ** 3) + 2.0 * w[0]])
 
 
 class TestProbeMatrix:

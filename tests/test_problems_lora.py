@@ -104,7 +104,7 @@ class TestLora:
     def test_zero_b_loss_is_teacher_residual(self, problem):
         w = problem.init_params(make_rng(2))
         batch = np.arange(64)
-        _, y = problem.train.take(batch)
+        _, y = problem.resolve_batch(batch)
         assert problem.loss(w, batch) == pytest.approx(
             0.5 * np.sum(y * y) / 64, rel=1e-12
         )

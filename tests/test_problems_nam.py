@@ -84,7 +84,7 @@ class TestNamProblem:
         rng = make_rng(4)
         w = problem.init_params(rng)
         batch = rng.choice(problem.train.n, 64, replace=False)
-        x, y = problem.train.take(batch)
+        x, y = problem.resolve_batch(batch)
         direct = float(np.mean((problem.predict(w, x) - y) ** 2))
         assert problem.loss(w, batch) == pytest.approx(direct, rel=1e-12)
 
@@ -99,11 +99,6 @@ class TestNamProblem:
         g1 = problem.grad(w, batch)
         g2 = problem.grad(w.copy(), batch.copy())
         assert g1.tobytes() == g2.tobytes()
-
-    def test_feature_count_mismatch_rejected(self):
-        ds = make_nam_synthetic(make_rng(0))
-        with pytest.raises(DimensionMismatch):
-            NamProblem(ds, n_features=7)
 
     def test_empty_hidden_sizes_rejected(self):
         ds = make_nam_synthetic(make_rng(0))

@@ -69,6 +69,12 @@ class TestRegistry:
         assert problem.train.n == 300
         assert problem.test.n == 60
 
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_every_problem_defines_loss_and_grad(self, repo_root, name):
+        csv = {"csv_path": str(repo_root / "data" / "california_stand_in.csv")}
+        problem = build_problem(name, make_rng(0), csv if name == "california-housing" else {})
+        assert type(problem).loss_and_grad is not LossProblem.loss_and_grad
+
     @pytest.mark.parametrize(
         "name, params",
         [
