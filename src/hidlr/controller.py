@@ -32,7 +32,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .linalg import r2_score
+from .linalg import SS_TOT_FLOOR, r2_score
 from .optim import OptimizerState, apply_update, direction
 from .problems.base import GroupLayout, LossProblem
 
@@ -243,7 +243,7 @@ def fit_diag_quadratic(probe: ProbeMatrix, delta_l: np.ndarray) -> QuadraticFit:
     centered = responses - (responses.sum(axis=1) / n)[:, None]
     ss_tot = (centered**2).sum(axis=1)
     # R^2 is 0.0 for (numerically) constant responses, as in r2_score
-    unexplained = np.divide(ss_res, ss_tot, out=np.ones(k), where=ss_tot >= 1e-30)
+    unexplained = np.divide(ss_res, ss_tot, out=np.ones(k), where=ss_tot >= SS_TOT_FLOOR)
     predicted = pred.ravel()
     return QuadraticFit(
         a=coef[:, 0] / eta**2,
@@ -314,12 +314,13 @@ def gate_and_update(
 
 @dataclass
 class StepResult:
-    """One training step's outputs."""
+    """One training step's outputs, with the training-loss calls it made."""
 
     w: np.ndarray
     lr_state: LrState
     l0: float
     refresh: Optional[RefreshRecord]
+    loss_calls: int
 
 
 def hidlr_step(
@@ -343,6 +344,8 @@ def hidlr_step(
     and positive (a validated config cannot give one). ``probe_batch``
     (when given) replaces the step's batch for probing only; this costs one
     extra loss call to re-anchor the baseline, made by the probe set itself.
+    ``loss_calls`` is 1, plus ``refresh_calls`` on a refresh step, rejected
+    or not, since the probe set makes all of its calls either way.
     """
     l0, g = problem.loss_and_grad(w, batch)
     if not math.isfinite(l0):
@@ -350,9 +353,10 @@ def hidlr_step(
     d = direction(opt_state, g, w)
     del g  # consumed: the probe set and the update need only d
 
-    refresh = None
+    refresh, loss_calls = None, 1
     if cfg is not None and t % cfg.phi == 0:
         probe = build_probe_matrix(lr_state.eta, cfg.probe_floor)
+        loss_calls += refresh_calls(probe.k, probe_batch is not None)
         if probe_batch is None:
             pb, lp = batch, l0
         else:
@@ -381,7 +385,12 @@ def hidlr_step(
             floored=probe.floored,
         )
     w_next = apply_update(w, layout, lr_state.eta, d)
-    return StepResult(w=w_next, lr_state=lr_state, l0=l0, refresh=refresh)
+    return StepResult(w_next, lr_state, l0, refresh, loss_calls)
+
+
+def refresh_calls(k: int, fresh: bool) -> int:
+    """Training-loss calls of one refresh: one per probe, +1 for a fresh anchor."""
+    return len(PROBE_MULTIPLIERS) * k + int(fresh)
 
 
 def forward_pass_budget(
@@ -389,14 +398,11 @@ def forward_pass_budget(
 ) -> int:
     """Training-loss evaluations for T steps with refreshes at t % phi == 0.
 
-    Each step costs one loss call; each refresh (steps 0, phi, 2*phi, ...)
-    adds nK probe calls, n = len(PROBE_MULTIPLIERS), plus f =
-    ``fresh_probe_batch`` = 1 call to anchor the probes on a freshly drawn
-    batch, giving T + (nK + f) * ceil(T / phi). A probe counts as one call
-    however ``probe_losses`` computes it, and a refresh makes all nK of
-    them even when one is non-finite, so the count
-    is exact for every run. Gradient passes and test-set evaluations are not
-    included.
+    The sum of ``hidlr_step``'s declared ``loss_calls`` at a fixed phi: one
+    per step plus ``refresh_calls`` per refresh (steps 0, phi, 2*phi, ...),
+    giving T + (nK + f) * ceil(T / phi) with f = ``fresh_probe_batch``. The
+    run audit also checks one gradient per step; test-set evaluations are
+    counted apart.
     """
     if total_steps < 1 or k < 1 or phi < 1:
         raise ValidationError(
@@ -407,4 +413,4 @@ def forward_pass_budget(
             f"fresh_probe_batch must be 0 or 1, got {fresh_probe_batch}"
         )
     refreshes = -(-total_steps // phi)
-    return total_steps + (len(PROBE_MULTIPLIERS) * k + fresh_probe_batch) * refreshes
+    return total_steps + refresh_calls(k, fresh_probe_batch) * refreshes

@@ -15,12 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ..controller import (
-    LrState,
-    forward_pass_budget,
-    hidlr_step,
-    initial_lr_state,
-)
+from ..controller import LrState, hidlr_step, initial_lr_state
 from ..errors import HidlrError, ValidationError
 from ..linalg import spawn_rngs
 from ..optim import (
@@ -183,9 +178,10 @@ def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record
     ``start`` is a one-item list holding the initial parameter vector. The
     loop takes the vector out of it, so nothing holds the vector once step 0
     has made the next one. With ``rate_at`` every group steps at
-    ``rate_at(t)`` and nothing is probed, so the budget is one loss call per
-    step. Without it the controller sets the rates, and the budget is
-    ``forward_pass_budget``. Returns the final rates.
+    ``rate_at(t)`` and nothing is probed. Without it the controller sets the
+    rates. Either way the audit compares the counted training-loss calls
+    with the sum of the steps' declared ``loss_calls``, and the counted
+    gradients with one per step. Returns the final rates.
     """
     w = start.pop()
     hcfg = cfg.hidlr if rate_at is None else None
@@ -195,7 +191,7 @@ def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record
     if hcfg is not None:
         lr_state = initial_lr_state(hcfg, layout.k)
         record.refreshes = RefreshLog(-(-total // hcfg.phi), layout.names)
-    epoch_losses = []
+    epoch_losses, declared = [], 0
     for t in range(total):
         batch = schedule.batch(t)
         probe_batch = None
@@ -207,6 +203,7 @@ def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record
             problem, w, lr_state, opt, hcfg, layout, batch, t, probe_batch
         )
         w, lr_state = res.w, res.lr_state
+        declared += res.loss_calls
         epoch_losses.append(res.l0)
         if res.refresh is not None:
             record.refreshes.append(res.refresh)
@@ -214,24 +211,22 @@ def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record
             _eval_row(problem, w, t, schedule, epoch_losses, lr_state.eta, record)
             epoch_losses = []
 
-    if hcfg is None:
-        expected, terms = total, f"T={total}, K={layout.k}, no refreshes"
-    else:
-        fresh = int(hcfg.fresh_probe_batch)
-        expected = forward_pass_budget(total, layout.k, hcfg.phi, fresh)
-        terms = f"T={total}, K={layout.k}, phi={hcfg.phi}, f={fresh}"
-    actual = problem.train_loss_calls
+    actual, grads = problem.train_loss_calls, problem.grad_calls
     record.summary["loss_calls"] = {
         "train": actual,
         "eval": problem.eval_loss_calls,
-        "grad": problem.grad_calls,
-        "expected_train": expected,
-        "budget_exact": actual == expected,
+        "grad": grads,
+        "expected_train": declared,
+        "budget_exact": actual == declared,
     }
-    if actual != expected:
+    if actual != declared:
         raise HidlrError(
-            f"budget audit failed: {actual} training loss calls, "
-            f"expected {expected} ({terms})"
+            f"budget audit failed: {actual} training loss calls, expected "
+            f"{declared} (the steps' declared calls, T={total}, K={layout.k})"
+        )
+    if grads != total:
+        raise HidlrError(
+            f"budget audit failed: {grads} gradients, expected {total} (one per step)"
         )
     return clean(lr_state.eta)
 

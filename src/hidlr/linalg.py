@@ -14,6 +14,9 @@ from .errors import LengthMismatch, SingularSystem
 # Relative singular-value cutoff below which a design matrix is treated as
 # rank deficient.
 SINGULAR_RTOL = 1e-12
+# Total sum of squares below which responses count as constant and a fit's
+# R^2 is 0.0 (r2_score and the controller's per-group fit).
+SS_TOT_FLOOR = 1e-30
 
 
 def solve_least_squares(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -44,7 +47,7 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Coefficient of determination, 1 - SS_res/SS_tot.
 
     Returns 0.0 when the targets are (numerically) constant, i.e.
-    SS_tot < 1e-30; downstream quality gates treat that as a failed fit.
+    SS_tot < SS_TOT_FLOOR; downstream quality gates treat that as a failed fit.
     """
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
@@ -54,7 +57,7 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
         raise LengthMismatch("need at least two points")
     ss_res = float(((y_true - y_pred) ** 2).sum())
     ss_tot = float(((y_true - y_true.sum() / y_true.size) ** 2).sum())
-    if ss_tot < 1e-30:
+    if ss_tot < SS_TOT_FLOOR:
         return 0.0
     return 1.0 - ss_res / ss_tot
 

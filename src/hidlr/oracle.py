@@ -2,8 +2,8 @@
 
 Nothing here runs inside the training path: these are independent,
 slower ways to obtain the same quantities the controller estimates —
-finite-difference directional derivatives, the full K x K quadratic fit
-including cross-group terms, and exact Newton steps on quadratics.
+finite-difference directional derivatives and the full K x K quadratic fit
+including cross-group terms, with its joint rates.
 """
 
 from __future__ import annotations
@@ -130,11 +130,3 @@ def full_hidlr(fit: FullQuadraticFit) -> np.ndarray:
     """Joint optimal rates: solve A eta = b for the full fitted quadratic."""
     _check_spd(fit.a_matrix, "fitted A")
     return np.linalg.solve(fit.a_matrix, fit.b)
-
-
-def newton_step_quadratic(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One Newton step w - Q^{-1}(Qw) on L = 0.5 w^T Q w; lands at 0."""
-    q = np.asarray(q, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    _check_spd(q, "Q")
-    return w - np.linalg.solve(q, q @ w)

@@ -629,6 +629,45 @@ class TestHiDlrStep:
         expected = apply_update(w, layout, eta, direction(fresh, problem.grad(w), w))
         assert_bit_identical(result.w, expected)
 
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            ("plain", 1),
+            ("same batch", 1 + 4 * 2),
+            ("fresh batch", 2 + 4 * 2),
+            ("non-finite probe", 1 + 4 * 1),
+        ],
+    )
+    def test_step_declares_its_loss_calls(self, case, expected):
+        if case == "non-finite probe":
+            # probes move w to 3.0, 2.0, 0.0 and -1.0: the first two are NaN
+            problem = FunctionProblem(
+                fn=lambda w: float(w[0] ** 2) if w[0] < 1.5 else np.nan,
+                grad_fn=lambda w: 2 * w,
+                init=[1.0],
+                name="guard",
+            )
+            cfg = HiDlrConfig(eta0=0.5)
+        else:
+            problem = ellipse_problem()
+            cfg = None if case == "plain" else HiDlrConfig()
+        layout = problem.default_layout
+        counted = CountingProblem(problem)
+        result = hidlr_step(
+            counted,
+            problem.init_params(make_rng(0)),
+            initial_lr_state(HiDlrConfig(eta0=0.5), layout.k),
+            OptimizerState.create("sgd", problem.dim),
+            cfg,
+            layout,
+            None,
+            t=0,
+            probe_batch=np.arange(4) if case == "fresh batch" else None,
+        )
+        assert result.loss_calls == counted.train_loss_calls == expected
+        if case == "non-finite probe":
+            assert result.refresh.reason.startswith("non-finite probe")
+
 
 class TestForwardPassBudget:
     @pytest.mark.parametrize(

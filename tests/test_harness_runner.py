@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+from hidlr import controller
 from hidlr.controller import (
     HiDlrConfig,
     RefreshRecord,
@@ -401,6 +402,26 @@ class TestRunExperiment:
         monkeypatch.setattr(CountingProblem, "loss_and_grad", one_extra)
         cfg = ellipse_cfg(method="constant", iterations=5)
         with pytest.raises(HidlrError, match="budget audit failed: 10 .* expected 5"):
+            run_experiment(cfg)
+
+    def test_audit_fails_on_extra_gradient_per_refresh(self, monkeypatch, repo_root):
+        probed = CountingProblem.probe_losses
+
+        def one_extra_grad(self, w, d, layout, xi, batch=None, l0=None):
+            self.grad(w, batch)
+            return probed(self, w, d, layout, xi, batch, l0)
+
+        monkeypatch.setattr(CountingProblem, "probe_losses", one_extra_grad)
+        cfg = parse_config(repo_root / "configs" / "lora-synthetic.yaml")
+        cfg.iterations = 40  # phi = 4: 10 refreshes
+        with pytest.raises(HidlrError, match="budget audit failed: 50 gradients, expected 40"):
+            run_experiment(cfg)
+
+    def test_audit_checks_declarations_against_the_count(self, monkeypatch):
+        declared = controller.refresh_calls
+        monkeypatch.setattr(controller, "refresh_calls", lambda k, fresh: declared(k, fresh) - 1)
+        cfg = ellipse_cfg(iterations=5)  # phi = 1: 5 refreshes of 4K = 8 calls
+        with pytest.raises(HidlrError, match="budget audit failed: 45 training .* expected 40"):
             run_experiment(cfg)
 
     def test_diverging_baseline_raises(self):

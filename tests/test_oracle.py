@@ -13,7 +13,6 @@ from hidlr.oracle import (
     fit_full_quadratic,
     full_hidlr,
     masked_direction,
-    newton_step_quadratic,
 )
 from hidlr.problems import GroupLayout, ellipse_problem, quadratic_problem
 from hidlr.problems.toy2d import FunctionProblem
@@ -176,19 +175,3 @@ class TestFullHidlr:
         fit = FullQuadraticFit(a_matrix=a, b=np.ones(2))
         with pytest.raises(NotPositiveDefinite):
             full_hidlr(fit)
-
-
-class TestNewtonStep:
-    def test_lands_at_minimum(self):
-        q = np.array([[2.0, 0.0], [0.0, 200.0]])
-        out = newton_step_quadratic(q, np.array([50.0, 1.0]))
-        assert np.allclose(out, 0.0, atol=1e-12)
-
-    def test_coupled_quadratic(self):
-        q = np.array([[3.0, 1.0], [1.0, 2.0]])
-        out = newton_step_quadratic(q, np.array([-4.0, 9.0]))
-        assert np.allclose(out, 0.0, atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            newton_step_quadratic(np.diag([1.0, -1.0]), np.ones(2))
