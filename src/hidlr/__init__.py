@@ -4,8 +4,7 @@ The controller periodically probes the loss along the current update
 direction at a few scaled step sizes per parameter group, fits a quadratic
 per group, and moves each group's learning rate toward its curvature-optimal
 value b/a. The package also ships the toy/synthetic problem zoo, baseline
-optimizers and schedulers, brute-force oracles for testing, and a CLI
-experiment harness.
+optimizers and schedulers, and a CLI experiment harness.
 """
 
 from .controller import (
@@ -26,14 +25,12 @@ from .errors import (
     LengthMismatch,
     MissingColumn,
     NonFiniteLoss,
-    NotPositiveDefinite,
     ParseError,
     SingularFit,
-    SingularSystem,
     UnknownStrategy,
     ValidationError,
 )
-from .linalg import make_rng, r2_score, solve_least_squares, spawn_rngs
+from .linalg import make_rng, r2_score, spawn_rngs
 from .optim import (
     OptimizerState,
     apply_update,
@@ -68,15 +65,12 @@ __all__ = [
     "LengthMismatch",
     "MissingColumn",
     "NonFiniteLoss",
-    "NotPositiveDefinite",
     "ParseError",
     "SingularFit",
-    "SingularSystem",
     "UnknownStrategy",
     "ValidationError",
     "make_rng",
     "r2_score",
-    "solve_least_squares",
     "spawn_rngs",
     "OptimizerState",
     "apply_update",

@@ -30,6 +30,7 @@ from .errors import (
     SingularFit,
     ValidationError,
     check_int,
+    check_positive,
     check_real,
 )
 from .linalg import SS_TOT_FLOOR, r2_score
@@ -85,13 +86,9 @@ class HiDlrConfig:
         if not rates:
             raise ValidationError(f"eta0 must be a number or a nonempty list, got {self.eta0!r}")
         for rate in rates:
-            if not (math.isfinite(rate) and rate > 0.0):
-                raise ValidationError(f"eta0 must be a finite number > 0, got {rate}")
+            check_positive("eta0", rate)
         self.eta0 = rates if is_list else rates[0]
-        if not 0.0 < self.probe_floor < math.inf:
-            raise ValidationError(
-                f"probe_floor must be a finite number > 0, got {self.probe_floor}"
-            )
+        check_positive("probe_floor", self.probe_floor)
         if self.gating not in GATING_MODES:
             raise ValidationError(
                 f"gating must be one of {GATING_MODES}, got {self.gating!r}"

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the number checks that raise them."""
 
+import math
 import numbers
 
 
@@ -9,10 +10,6 @@ class HidlrError(Exception):
 
 class LengthMismatch(HidlrError):
     """Vector/layout dimensions disagree."""
-
-
-class SingularSystem(HidlrError):
-    """Least-squares design is numerically rank deficient."""
 
 
 class SingularFit(HidlrError):
@@ -29,10 +26,6 @@ class DimensionMismatch(HidlrError):
 
 class UnknownStrategy(HidlrError):
     """Unrecognised parameter-grouping strategy."""
-
-
-class NotPositiveDefinite(HidlrError):
-    """Matrix required to be positive definite is not."""
 
 
 class ParseError(HidlrError):
@@ -55,6 +48,14 @@ def check_real(name: str, value) -> float:
         except (TypeError, ValueError):
             pass
     raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
+def check_positive(name: str, value) -> float:
+    """``value`` as a float that is finite and > 0."""
+    value = check_real(name, value)
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"{name} must be a finite number > 0, got {value}")
+    return value
 
 
 def check_int(name: str, value, low: int = 1, high=None) -> int:

@@ -1,10 +1,9 @@
 """Command-line entry point.
 
-Subcommands: ``run`` (train per a config file), ``grid`` (force the grid
-baseline), ``diag`` (truth-vs-prediction table at initialization),
-``list-problems``, and ``budget`` (loss-call count for T/K/phi, plus one
-call per refresh with ``--fresh-probe-batch``). Exit codes: 0 success,
-1 configuration error, 2 runtime error.
+Subcommands: ``run`` (train per a config file), ``diag`` (truth-vs-prediction
+table at initialization), ``list-problems``, and ``budget`` (loss-call count
+for T/K/phi, plus one call per refresh with ``--fresh-probe-batch``). Exit
+codes: 0 success, 1 configuration error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in (
         ("run", "run the experiment described by a config file"),
-        ("grid", "run the grid-search baseline for a config file"),
         ("diag", "tabulate measured vs predicted loss changes at init"),
     ):
         p = sub.add_parser(name, help=help_text)
@@ -70,8 +68,6 @@ def _load_cfg(args):
         raw["seed"] = args.seed
     if args.out is not None:
         raw["out_dir"] = args.out
-    if args.command == "grid":
-        raw["method"] = "grid"
     return config_from_dict(raw)
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import yaml
 
 from ..controller import HiDlrConfig
-from ..errors import ParseError, ValidationError, check_int, check_real
+from ..errors import ParseError, ValidationError, check_int, check_positive, check_real
 from ..optim import OPTIMIZER_KINDS, OPTIMIZER_PARAMS, SCHEDULER_KINDS
 from ..problems import PROBLEM_NAMES, STRATEGIES
 
@@ -82,9 +82,7 @@ class ExperimentConfig:
         for name in ("epochs", "iterations", "batch_size"):
             if getattr(self, name) is not None:
                 setattr(self, name, check_int(name, getattr(self, name)))
-        self.base_lr = check_real("base_lr", self.base_lr)
-        if not 0 < self.base_lr < math.inf:
-            raise ValidationError(f"base_lr must be a finite number > 0, got {self.base_lr}")
+        self.base_lr = check_positive("base_lr", self.base_lr)
         if self.grid is not None:
             try:
                 grid = tuple(self.grid)

@@ -170,7 +170,3 @@ def emit_metrics(record, out_dir) -> dict:
     write_lines(paths["summary"], [json.dumps(record.summary, sort_keys=True, indent=2) + "\n"])
     return paths
 
-
-def read_jsonl(path) -> list:
-    with Path(path).open(encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

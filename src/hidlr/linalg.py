@@ -9,38 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatch, SingularSystem
+from .errors import LengthMismatch
 
-# Relative singular-value cutoff below which a design matrix is treated as
-# rank deficient.
-SINGULAR_RTOL = 1e-12
 # Total sum of squares below which responses count as constant and a fit's
 # R^2 is 0.0 (r2_score and the controller's per-group fit).
 SS_TOT_FLOOR = 1e-30
-
-
-def solve_least_squares(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return beta minimising ||x @ beta - y||^2.
-
-    Requires at least as many rows as columns. Raises SingularSystem when the
-    ratio of smallest to largest singular value of ``x`` falls below 1e-12.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2:
-        raise LengthMismatch(f"design must be 2-D, got shape {x.shape}")
-    n, p = x.shape
-    if y.shape != (n,):
-        raise LengthMismatch(f"response has shape {y.shape}, expected ({n},)")
-    if n < p:
-        raise LengthMismatch(f"underdetermined system: {n} rows < {p} columns")
-    beta, _, _, svals = np.linalg.lstsq(x, y, rcond=None)
-    if svals[0] == 0.0 or svals[-1] / svals[0] < SINGULAR_RTOL:
-        raise SingularSystem(
-            f"singular value ratio {0.0 if svals[0] == 0.0 else svals[-1] / svals[0]:.3e} "
-            f"below {SINGULAR_RTOL:.0e}"
-        )
-    return beta
 
 
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:

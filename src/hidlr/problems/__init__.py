@@ -12,7 +12,6 @@ from .base import (
     GroupLayout,
     LossProblem,
     bce_with_logits,
-    sigmoid,
     split_dataset,
 )
 from .grouping import STRATEGIES, group_params
@@ -27,7 +26,6 @@ from .toy2d import (
     beale_grad,
     beale_rosenbrock_problem,
     ellipse_problem,
-    quadratic_problem,
     rosenbrock,
     rosenbrock_grad,
 )
@@ -54,10 +52,8 @@ __all__ = [
     "make_nam_synthetic",
     "moe_label_rule",
     "NAM_FEATURE_FNS",
-    "quadratic_problem",
     "rosenbrock",
     "rosenbrock_grad",
-    "sigmoid",
     "split_dataset",
 ]
 

@@ -245,17 +245,6 @@ class LossProblem:
         return take(self.train.features, batch), take(self.train.targets, batch)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, stable in both tails: ``exp`` only sees -|z|.
-
-    ``where`` keeps a NaN's sign where ``-abs`` would flip it, so the result
-    is bit-equal to 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)).
-    """
-    pos = z >= 0
-    e = np.exp(np.where(pos, -z, z))
-    return np.where(pos, 1.0, e) / (1.0 + e)
-
-
 def bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise binary cross-entropy, numerically stable in the logit."""
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
@@ -276,7 +265,7 @@ def bce_loss_and_grad(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 
     Overwrites ``z`` with its BCE, so a caller passes logits it is done with.
     One exp(-|z|), in z and two more z-sized buffers: for every non-NaN z it
-    equals the ``exp`` that ``sigmoid`` takes, -0.0 included.
+    equals the ``exp`` that ``sigmoid`` in ``tests/oracle.py`` takes, -0.0 included.
     """
     pos = z >= 0  # sigmoid's numerator is 1 here, else e: taken before z is overwritten
     e, scratch = bce_into(z, y, z)

@@ -111,18 +111,3 @@ def beale_rosenbrock_problem() -> FunctionProblem:
         name="beale-rosenbrock",
     )
 
-
-def quadratic_problem(
-    q: np.ndarray,
-    init: Sequence[float],
-    layout: Optional[GroupLayout] = None,
-) -> FunctionProblem:
-    """L(w) = 0.5 w^T Q w for a symmetric Q; reference case for exact fits."""
-    q = np.asarray(q, dtype=np.float64)
-    return FunctionProblem(
-        fn=lambda w: 0.5 * float(w @ q @ w),
-        grad_fn=lambda w: q @ w,
-        init=init,
-        layout=layout,
-        name="quadratic",
-    )

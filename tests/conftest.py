@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -33,6 +34,11 @@ def assert_bit_identical(x: np.ndarray, y: np.ndarray) -> None:
     """Assert two float arrays are byte-for-byte the same."""
     assert x.shape == y.shape
     assert x.tobytes() == y.tobytes()
+
+
+def read_jsonl(path) -> list:
+    with Path(path).open(encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def peak_bytes(fn):

@@ -1,9 +1,10 @@
-"""Brute-force reference implementations used by the test suite.
+"""Brute-force references the tests check the package against.
 
-Nothing here runs inside the training path: these are independent,
-slower ways to obtain the same quantities the controller estimates —
-finite-difference directional derivatives and the full K x K quadratic fit
-including cross-group terms, with its joint rates.
+Nothing here runs in training. These are independent, slower ways to get
+what the controller and the problems compute: a least-squares solver,
+finite-difference directional derivatives, the full K x K quadratic fit
+with cross-group terms and its joint rates, the logistic function that
+``bce_loss_and_grad`` must match bit for bit, and a quadratic test problem.
 """
 
 from __future__ import annotations
@@ -13,11 +14,70 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SingularSystem
-from .linalg import solve_least_squares
-from .problems.base import GroupLayout, LossProblem
+from hidlr.errors import HidlrError, LengthMismatch
+from hidlr.problems import FunctionProblem, GroupLayout, LossProblem
 
+SINGULAR_RTOL = 1e-12  # relative singular value below which a design is rank deficient
 PD_PIVOT_REL = 1e-12  # eigenvalues must exceed this times trace/K
+
+
+class SingularSystem(HidlrError):
+    """Least-squares design is numerically rank deficient."""
+
+
+class NotPositiveDefinite(HidlrError):
+    """Matrix required to be positive definite is not."""
+
+
+def solve_least_squares(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Return beta minimising ||x @ beta - y||^2.
+
+    Requires at least as many rows as columns. Raises SingularSystem when the
+    ratio of smallest to largest singular value of ``x`` falls below 1e-12.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2:
+        raise LengthMismatch(f"design must be 2-D, got shape {x.shape}")
+    n, p = x.shape
+    if y.shape != (n,):
+        raise LengthMismatch(f"response has shape {y.shape}, expected ({n},)")
+    if n < p:
+        raise LengthMismatch(f"underdetermined system: {n} rows < {p} columns")
+    beta, _, _, svals = np.linalg.lstsq(x, y, rcond=None)
+    if svals[0] == 0.0 or svals[-1] / svals[0] < SINGULAR_RTOL:
+        raise SingularSystem(
+            f"singular value ratio {0.0 if svals[0] == 0.0 else svals[-1] / svals[0]:.3e} "
+            f"below {SINGULAR_RTOL:.0e}"
+        )
+    return beta
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, stable in both tails: ``exp`` only sees -|z|.
+
+    ``where`` keeps a NaN's sign where ``-abs`` would flip it, so the result
+    is bit-equal to 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)).
+    """
+    pos = z >= 0
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0, e) / (1.0 + e)
+
+
+def quadratic_problem(
+    q: np.ndarray,
+    init: Sequence[float],
+    layout: Optional[GroupLayout] = None,
+) -> FunctionProblem:
+    """L(w) = 0.5 w^T Q w for a symmetric Q; reference case for exact fits."""
+    q = np.asarray(q, dtype=np.float64)
+    return FunctionProblem(
+        fn=lambda w: 0.5 * float(w @ q @ w),
+        grad_fn=lambda w: q @ w,
+        init=init,
+        layout=layout,
+        name="quadratic",
+    )
 
 
 def default_fd_eps(w: np.ndarray, d: np.ndarray) -> float:
@@ -110,23 +170,19 @@ def fit_full_quadratic(
     return FullQuadraticFit(a_matrix=a, b=b)
 
 
-def _check_spd(a: np.ndarray, what: str) -> None:
-    a = np.asarray(a, dtype=np.float64)
+def full_hidlr(fit: FullQuadraticFit) -> np.ndarray:
+    """Joint optimal rates: solve A eta = b for the full fitted quadratic."""
+    a = np.asarray(fit.a_matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotPositiveDefinite(f"{what} is not square: {a.shape}")
+        raise NotPositiveDefinite(f"fitted A is not square: {a.shape}")
     asym = np.max(np.abs(a - a.T))
     if asym > 1e-10 * max(1.0, np.max(np.abs(a))):
-        raise NotPositiveDefinite(f"{what} is not symmetric (max skew {asym:.3g})")
+        raise NotPositiveDefinite(f"fitted A is not symmetric (max skew {asym:.3g})")
     k = a.shape[0]
     floor = PD_PIVOT_REL * np.trace(a) / k
     eigs = np.linalg.eigvalsh(a)
     if not np.all(eigs > floor):
         raise NotPositiveDefinite(
-            f"{what} is not positive definite (min eigenvalue {eigs[0]:.3g})"
+            f"fitted A is not positive definite (min eigenvalue {eigs[0]:.3g})"
         )
-
-
-def full_hidlr(fit: FullQuadraticFit) -> np.ndarray:
-    """Joint optimal rates: solve A eta = b for the full fitted quadratic."""
-    _check_spd(fit.a_matrix, "fitted A")
     return np.linalg.solve(fit.a_matrix, fit.b)

@@ -36,22 +36,22 @@ from hidlr.optim import (
     direction,
     grid_search,
 )
-from hidlr.oracle import (
-    fd_directional_curvature,
-    fd_directional_grad,
-    fit_full_quadratic,
-    full_hidlr,
-    masked_direction,
-)
 from hidlr.problems import (
     GroupLayout,
     beale_rosenbrock_problem,
     build_problem,
     ellipse_problem,
-    quadratic_problem,
 )
 
 from conftest import REPO_ROOT
+from oracle import (
+    fd_directional_curvature,
+    fd_directional_grad,
+    fit_full_quadratic,
+    full_hidlr,
+    masked_direction,
+    quadratic_problem,
+)
 
 CONFIGS = REPO_ROOT / "configs"
 NAM_MANUAL_RATES = (5e-4, 7e-4, 1e-3, 3e-3, 5e-3, 7e-3, 1e-2)

@@ -7,8 +7,9 @@ import pytest
 import yaml
 
 from hidlr.harness.cli import main
-from hidlr.harness.metrics import read_jsonl
 from hidlr.problems import PROBLEM_NAMES
+
+from conftest import read_jsonl
 
 
 @pytest.fixture
@@ -283,7 +284,7 @@ class TestRunCommand:
 class TestGridCommand:
     def test_grid_forces_method(self, ellipse_yaml, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(["grid", str(ellipse_yaml), "--out", str(out)]) == 0
+        assert main(["run", str(ellipse_yaml), "--override", "method=grid", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert "grid" in summary
         assert "best_lr" in capsys.readouterr().out

@@ -22,13 +22,14 @@ from hidlr.controller import (
 )
 from hidlr.errors import NonFiniteLoss, SingularFit, ValidationError
 from hidlr.harness.runner import CountingProblem
-from hidlr.linalg import make_rng, r2_score, solve_least_squares
+from hidlr.linalg import make_rng, r2_score
 from hidlr.optim import OptimizerState, apply_update, direction
-from hidlr.problems import GroupLayout, ellipse_problem, quadratic_problem
+from hidlr.problems import GroupLayout, ellipse_problem
 from hidlr.problems.base import Dataset, LossProblem
 from hidlr.problems.toy2d import FunctionProblem
 
 from conftest import assert_bit_identical
+from oracle import quadratic_problem, solve_least_squares
 
 
 def parabola_deltas(probe, a, b):

@@ -6,9 +6,12 @@ import pytest
 from hidlr.errors import ValidationError
 from hidlr.harness.config import ExperimentConfig
 from hidlr.harness.diagnostics import pooled_r2_from_rows, taylor_diagnostics
-from hidlr.harness.metrics import emit_metrics, read_jsonl
+from hidlr.harness.metrics import emit_metrics
 from hidlr.harness.runner import run_experiment
-from hidlr.problems import ellipse_problem, quadratic_problem
+from hidlr.problems import ellipse_problem
+
+from conftest import read_jsonl
+from oracle import quadratic_problem
 
 
 @pytest.fixture

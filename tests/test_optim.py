@@ -23,8 +23,9 @@ from hidlr.problems import (
     beale_rosenbrock_problem,
     build_problem,
     ellipse_problem,
-    quadratic_problem,
 )
+
+from oracle import quadratic_problem
 
 
 class TestDirection:

@@ -3,19 +3,21 @@
 import numpy as np
 import pytest
 
-from hidlr.errors import NotPositiveDefinite, SingularSystem
 from hidlr.linalg import make_rng
-from hidlr.oracle import (
+from hidlr.problems import FunctionProblem, GroupLayout, ellipse_problem
+
+from oracle import (
     FullQuadraticFit,
+    NotPositiveDefinite,
+    SingularSystem,
     default_fd_eps,
     fd_directional_curvature,
     fd_directional_grad,
     fit_full_quadratic,
     full_hidlr,
     masked_direction,
+    quadratic_problem,
 )
-from hidlr.problems import GroupLayout, ellipse_problem, quadratic_problem
-from hidlr.problems.toy2d import FunctionProblem
 
 
 class TestFiniteDifferences:

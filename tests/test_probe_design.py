@@ -14,11 +14,10 @@ from hidlr import controller
 from hidlr.harness.cli import main
 from hidlr.harness.config import config_from_dict, load_config_dict
 from hidlr.harness.diagnostics import taylor_diagnostics
-from hidlr.harness.metrics import read_jsonl
 from hidlr.harness.runner import run_experiment
 from hidlr.problems.toy2d import FunctionProblem
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, read_jsonl
 
 SIX = np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
 # preset -> overrides that keep the run short

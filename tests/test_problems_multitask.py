@@ -10,9 +10,11 @@ from hidlr.controller import HiDlrConfig, build_probe_matrix, hidlr_step, initia
 from hidlr.errors import ValidationError
 from hidlr.linalg import make_rng
 from hidlr.optim import OptimizerState
-from hidlr.problems import MultitaskHeadProblem, bce_with_logits, multitask, sigmoid
+from hidlr.problems import MultitaskHeadProblem, bce_with_logits, multitask
 from hidlr.problems.base import bce_into, bce_loss_and_grad
 from hidlr.problems.multitask import FEATURE_DIM, INPUT_DIM, NOISE_MAX, NOISE_MIN, PROBE_ROWS
+
+from oracle import sigmoid
 
 
 @pytest.fixture(scope="module")

@@ -9,10 +9,11 @@ from hidlr.problems import (
     beale_grad,
     beale_rosenbrock_problem,
     ellipse_problem,
-    quadratic_problem,
     rosenbrock,
     rosenbrock_grad,
 )
+
+from oracle import quadratic_problem
 
 
 class TestEllipse:
