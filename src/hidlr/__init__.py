@@ -36,7 +36,6 @@ from .optim import (
     apply_update,
     default_toy_grid,
     direction,
-    grid_search,
     scheduler_lr,
 )
 from .problems import (
@@ -76,7 +75,6 @@ __all__ = [
     "apply_update",
     "default_toy_grid",
     "direction",
-    "grid_search",
     "scheduler_lr",
     "GroupLayout",
     "LossProblem",

@@ -16,15 +16,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ..controller import LrState, hidlr_step, initial_lr_state
-from ..errors import HidlrError, ValidationError
+from ..errors import HidlrError, NonFiniteLoss, ValidationError
 from ..linalg import spawn_rngs
-from ..optim import (
-    SCHEDULER_KINDS,
-    OptimizerState,
-    default_toy_grid,
-    grid_search,
-    scheduler_lr,
-)
+from ..optim import SCHEDULER_KINDS, OptimizerState, default_toy_grid, scheduler_lr
 from ..problems import build_problem, group_params
 from ..problems.base import LossProblem
 from .config import ExperimentConfig
@@ -181,7 +175,8 @@ def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record
     ``rate_at(t)`` and nothing is probed. Without it the controller sets the
     rates. Either way the audit compares the counted training-loss calls
     with the sum of the steps' declared ``loss_calls``, and the counted
-    gradients with one per step. Returns the final rates.
+    gradients with one per step. Returns ``(w, eta)``: the final parameters
+    and the final rates.
     """
     w = start.pop()
     hcfg = cfg.hidlr if rate_at is None else None
@@ -228,7 +223,7 @@ def _train(problem, start: list, layout, cfg: ExperimentConfig, schedule, record
         raise HidlrError(
             f"budget audit failed: {grads} gradients, expected {total} (one per step)"
         )
-    return clean(lr_state.eta)
+    return w, clean(lr_state.eta)
 
 
 def set_up_run(cfg: ExperimentConfig):
@@ -246,11 +241,37 @@ def set_up_run(cfg: ExperimentConfig):
     return problem, layout, problem.init_params(init_rng), method, shuffle_rng
 
 
+def _search_grid(inner, w0, layout, cfg: ExperimentConfig) -> dict:
+    """``summary["grid"]``: the constant rate whose run ends at the least full-train loss.
+
+    Each candidate is a ``_train`` run from a copy of ``w0`` on the run's own
+    batches, audited on its own counter. A diverged one scores +inf; ties go
+    to the smaller rate, so if all diverge the smallest rate wins.
+    """
+    grid = sorted(float(x) for x in cfg.grid or default_toy_grid())
+    best_lr, best_loss, loss_calls, grad_calls = grid[0], np.inf, 0, 0
+    for lr in grid:
+        counter = CountingProblem(inner)
+        schedule = _Schedule(counter, cfg, spawn_rngs(cfg.seed, 3)[2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                w, _ = _train(
+                    counter, [w0.copy()], layout, cfg, schedule, RunRecord(), lambda t: lr
+                )
+                loss = counter.loss(w)
+            except NonFiniteLoss:
+                loss = np.inf
+        loss_calls += counter.train_loss_calls
+        grad_calls += counter.grad_calls
+        if np.isfinite(loss) and loss < best_loss:
+            best_lr, best_loss = lr, loss
+    return {"grid": grid, "best_lr": best_lr, "best_loss": clean(best_loss),
+            "hpo_loss_calls": loss_calls, "hpo_grad_calls": grad_calls}
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     """Run one configured experiment deterministically."""
     inner, layout, w0, method, shuffle_rng = set_up_run(cfg)
-    start = [w0]  # handed to _train, which lets it go after step 0
-    del w0
     problem = CountingProblem(inner)
     schedule = _Schedule(problem, cfg, shuffle_rng)
     record = RunRecord()
@@ -271,24 +292,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             total = schedule.total_steps
             rate_at = lambda t: scheduler_lr(method, t, total, cfg.base_lr)
         elif method == "grid":
-            grid = list(cfg.grid) if cfg.grid else default_toy_grid()
-            best_lr, best_loss = grid_search(
-                problem.inner,  # the candidates' calls are not the training run's
-                cfg.optimizer,
-                grid,
-                schedule.total_steps,
-                seed=cfg.seed,
-                opt_hyper=cfg.optimizer_params,
-            )
-            record.summary["grid"] = {
-                "grid": sorted(float(x) for x in grid),
-                "best_lr": float(best_lr),
-                "best_loss": clean(best_loss),
-            }
+            record.summary["grid"] = _search_grid(inner, w0, layout, cfg)
+            best_lr = record.summary["grid"]["best_lr"]
             rate_at = lambda t: best_lr
         elif method != "hidlr":  # pragma: no cover - config validation owns this
             raise ValidationError(f"unhandled method {method!r}")
-        eta_final = _train(problem, start, layout, cfg, schedule, record, rate_at)
+        start = [w0]  # handed to _train, which lets it go after step 0
+        del w0
+        _, eta_final = _train(problem, start, layout, cfg, schedule, record, rate_at)
     except HidlrError as exc:
         raise type(exc)(
             f"run problem={cfg.problem} seed={cfg.seed}: {exc}"

@@ -1,4 +1,4 @@
-"""Base optimizers, grouped updates, baseline schedulers, and grid search.
+"""Base optimizers, grouped updates, and baseline schedulers.
 
 The optimizers here produce an update *direction* only; step sizes are
 applied separately (per parameter group) by ``apply_update``. This split is
@@ -9,13 +9,12 @@ optimizer is about to take.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteLoss, UnknownStrategy
-from .linalg import spawn_rngs
-from .problems.base import GroupLayout, LossProblem
+from .errors import LengthMismatch, UnknownStrategy
+from .problems.base import GroupLayout
 
 # each optimizer -> the ``optimizer_params`` keys its ``direction`` reads
 OPTIMIZER_PARAMS = {
@@ -139,45 +138,3 @@ def scheduler_lr(kind: str, t: int, total: int, eta0: float) -> float:
 def default_toy_grid() -> list[float]:
     """12-point half-decade grid 1e-5 * 10^(k/2), k = 0..11."""
     return [1e-5 * 10 ** (k / 2) for k in range(12)]
-
-
-def grid_search(
-    problem: LossProblem,
-    optimizer_kind: str,
-    grid: Sequence[float],
-    iters: int,
-    seed: int = 0,
-    opt_hyper: Optional[dict] = None,
-) -> tuple[float, float]:
-    """Best constant uniform rate on `grid` by final training loss.
-
-    Every candidate starts from the run's initial parameters (drawn from
-    the second of ``spawn_rngs(seed, 3)``, as ``runner.set_up_run`` draws
-    them), takes `iters` plain full-batch ``hidlr_step`` steps, and scores
-    its full-batch loss. Diverged runs score +inf; ties break toward the
-    smaller rate, and the result does not depend on the order of `grid`.
-    """
-    # controller imports this module, so its step is imported at call time
-    from .controller import LrState, hidlr_step
-
-    if len(grid) == 0:
-        raise LengthMismatch("grid must be nonempty")
-    layout = GroupLayout.from_sizes([("all", problem.dim)])
-    w0 = problem.init_params(spawn_rngs(seed, 3)[1])
-    best_lr, best_loss = None, np.inf
-    for lr in sorted(float(x) for x in grid):
-        w = w0
-        state = OptimizerState.create(optimizer_kind, problem.dim, **(opt_hyper or {}))
-        rate = LrState(eta=np.array([lr]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                for t in range(iters):
-                    w = hidlr_step(problem, w, rate, state, None, layout, None, t).w
-                loss = problem.loss(w)
-            except NonFiniteLoss:
-                loss = np.inf
-        if np.isfinite(loss) and loss < best_loss:
-            best_lr, best_loss = lr, loss
-    if best_lr is None:  # every candidate diverged; take the smallest rate
-        best_lr = min(float(x) for x in grid)
-    return best_lr, best_loss

@@ -29,19 +29,8 @@ from hidlr.harness.diagnostics import pooled_r2_from_rows, taylor_diagnostics
 from hidlr.harness.metrics import emit_metrics
 from hidlr.harness.runner import _Schedule, run_experiment
 from hidlr.linalg import make_rng, spawn_rngs
-from hidlr.optim import (
-    OptimizerState,
-    apply_update,
-    default_toy_grid,
-    direction,
-    grid_search,
-)
-from hidlr.problems import (
-    GroupLayout,
-    beale_rosenbrock_problem,
-    build_problem,
-    ellipse_problem,
-)
+from hidlr.optim import OptimizerState, apply_update, direction
+from hidlr.problems import GroupLayout, build_problem, ellipse_problem
 
 from conftest import REPO_ROOT
 from oracle import (
@@ -126,8 +115,8 @@ def test_criterion_01_newton_on_quadratic(announce):
 def test_criterion_02_ellipse_beats_grid_by_1e6(announce):
     t0 = time.perf_counter()
     hid = final_row_value(preset("ellipse"), "train_loss_last")
-    problem = ellipse_problem()
-    best_lr, best_loss = grid_search(problem, "sgd", default_toy_grid(), 100)
+    grid = run_experiment(preset("ellipse", method="grid")).summary["grid"]
+    best_lr, best_loss = grid["best_lr"], grid["best_loss"]
     elapsed = time.perf_counter() - t0
     verdict(
         announce,
@@ -145,8 +134,8 @@ def test_criterion_03_beale_rosenbrock_ordering(announce):
     hiu = final_row_value(
         preset("beale-rosenbrock", method="hiulr"), "train_loss_last"
     )
-    problem = beale_rosenbrock_problem()
-    best_lr, grid_loss = grid_search(problem, "sgd", default_toy_grid(), 100)
+    grid = run_experiment(preset("beale-rosenbrock", method="grid")).summary["grid"]
+    best_lr, grid_loss = grid["best_lr"], grid["best_loss"]
     elapsed = time.perf_counter() - t0
     verdict(
         announce,

@@ -163,6 +163,10 @@ class TestValueValidation:
         with pytest.raises(ValidationError, match="grid"):
             config_from_dict({**MINIMAL, "grid": [1e-3, 0.0]})
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValidationError, match=r"grid must be a nonempty list .*, got \[\]"):
+            config_from_dict({**MINIMAL, "grid": []})
+
     def test_null_base_lr_is_a_validation_error(self):
         raw = apply_overrides(dict(MINIMAL), ["base_lr=null"])
         with pytest.raises(ValidationError, match="base_lr"):

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +27,15 @@ from hidlr.harness.runner import (
     _Schedule,
     run_experiment,
 )
-from hidlr.linalg import make_rng
-from hidlr.problems import FunctionProblem, build_problem, ellipse_problem
+from hidlr.linalg import make_rng, spawn_rngs
+from hidlr.optim import OptimizerState, apply_update, default_toy_grid, direction
+from hidlr.problems import (
+    FunctionProblem,
+    GroupLayout,
+    beale_rosenbrock_problem,
+    build_problem,
+    ellipse_problem,
+)
 
 
 def record_bytes(record):
@@ -390,7 +398,8 @@ class TestRunExperiment:
     def test_grid_candidates_not_counted(self):
         record = run_experiment(ellipse_cfg(method="grid", iterations=60))
         assert record.rows[-1]["loss_calls"] == 60
-        assert record.summary["loss_calls"]["grad"] == 60
+        calls = record.summary["loss_calls"]
+        assert calls["train"] == calls["expected_train"] == calls["grad"] == 60
 
     def test_baseline_audit_fails_on_extra_call(self, monkeypatch):
         counted = CountingProblem.loss_and_grad
@@ -513,6 +522,121 @@ class TestRunExperiment:
         assert record.summary["total_steps"] == 8
         assert [row["epoch"] for row in record.rows] == [1, 2]
         assert "test_accuracy" in record.rows[-1]
+
+
+def constant_lr_run(problem, lr, iters, seed):
+    """A grid candidate as a separate loop: full-batch gradient-only SGD steps."""
+    w = problem.init_params(spawn_rngs(seed, 3)[1])
+    state = OptimizerState.create("sgd", problem.dim)
+    layout = GroupLayout.from_sizes([("all", problem.dim)])
+    lr_vec = np.array([lr])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iters):
+            g = problem.grad(w)
+            if not np.all(np.isfinite(g)):
+                return np.inf
+            w = apply_update(w, layout, lr_vec, direction(state, g, w))
+            if not np.all(np.isfinite(w)):
+                return np.inf
+        final = problem.loss(w)
+    return final if np.isfinite(final) else np.inf
+
+
+def loop_grid_search(problem, grid, iters, seed):
+    best_lr, best_loss = None, np.inf
+    for lr in sorted(grid):
+        loss = constant_lr_run(problem, lr, iters, seed)
+        if loss < best_loss:
+            best_lr, best_loss = lr, loss
+    return best_lr, best_loss
+
+
+def grid_info(**kw):
+    return run_experiment(ellipse_cfg(method="grid", **kw)).summary["grid"]
+
+
+class TestGridMethod:
+    """Each grid candidate is a ``_train`` run, scored by its final train loss."""
+
+    def test_single_candidate(self):
+        info = grid_info(grid=[1e-3], iterations=10)
+        assert info["best_lr"] == 1e-3
+        assert np.isfinite(info["best_loss"])
+
+    def test_picks_stable_middle_rate(self):
+        # L = x^2 + 100 y^2 under SGD: 0.5 diverges on y, 1e-4 barely moves
+        info = grid_info(grid=[1e-4, 9e-3, 0.5], iterations=100)
+        assert info["best_lr"] == 9e-3
+        # x contracts by (1 - 2*0.009) per step from x0 = 50
+        assert info["best_loss"] == pytest.approx((50 * 0.982**100) ** 2, rel=1e-6)
+
+    def test_diverged_candidate_scores_inf(self):
+        # 50.0 meets a non-finite loss at step 39, after 40 loss calls and 40 gradients
+        info = grid_info(grid=[1e-3, 50.0], iterations=100)
+        assert info["best_lr"] == 1e-3
+        assert (info["hpo_loss_calls"], info["hpo_grad_calls"]) == (101 + 40, 100 + 40)
+
+    def test_all_diverged_takes_the_smallest_rate(self):
+        # 1e3 would fail earlier; the run fails at 50.0's step
+        match = "seed=0: training loss at step 39 is"
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss, match=match):
+            grid_info(grid=[1e3, 50.0], iterations=100)
+
+    @pytest.mark.parametrize("problem", ["ellipse", "beale-rosenbrock"])
+    def test_order_invariant(self, problem):
+        grid = default_toy_grid()
+        fwd = run_experiment(ellipse_cfg(problem=problem, method="grid", grid=grid, iterations=50))
+        rev = run_experiment(
+            ellipse_cfg(problem=problem, method="grid", grid=grid[::-1], iterations=50)
+        )
+        assert fwd.summary == rev.summary
+
+    @pytest.mark.parametrize(
+        "make, grid, iters",
+        [
+            (ellipse_problem, default_toy_grid(), 60),
+            (beale_rosenbrock_problem, default_toy_grid(), 100),
+            (ellipse_problem, [5e-3, 0.02, 0.5, 3.0, 50.0, 1e3], 40),
+        ],
+        ids=["ellipse", "beale-rosenbrock", "diverging"],
+    )
+    def test_matches_gradient_only_loop(self, make, grid, iters):
+        problem = make()
+        cfg = ellipse_cfg(problem=problem.name, method="grid", grid=grid, iterations=iters, seed=3)
+        info = run_experiment(cfg).summary["grid"]
+        expected = loop_grid_search(problem, grid, iters, seed=3)
+        assert info["best_lr"] == expected[0]
+        assert np.float64(info["best_loss"]).tobytes() == np.float64(expected[1]).tobytes()
+
+    @pytest.mark.parametrize(
+        "grid, iters, loss_calls, grad_calls",
+        # T steps and one final full-train loss per candidate; 0.5 fails at step 77
+        [([1e-3, 5e-3], 30, 62, 60), ([1e-4, 9e-3, 0.5], 100, 280, 278)],
+        ids=["all-stable", "one-diverges"],
+    )
+    def test_hpo_calls_are_the_candidates_sum(self, grid, iters, loss_calls, grad_calls):
+        record = run_experiment(ellipse_cfg(method="grid", grid=grid, iterations=iters))
+        info = record.summary["grid"]
+        assert (info["hpo_loss_calls"], info["hpo_grad_calls"]) == (loss_calls, grad_calls)
+        calls = record.summary["loss_calls"]
+        assert calls["train"] == calls["grad"] == iters
+
+    def test_candidates_train_like_the_run(self, repo_root, monkeypatch):
+        # minibatches of 128 from the run's own init and shuffle: the lone
+        # candidate ends where the training run ends, bit for bit
+        cfg = parse_config(repo_root / "configs" / "lora-synthetic.yaml")
+        cfg = replace(cfg, method="grid", grid=[1e-3], iterations=50)
+        finals, train = [], runner._train
+
+        def spy(*args, **kw):
+            w, eta = train(*args, **kw)
+            finals.append(w)
+            return w, eta
+
+        monkeypatch.setattr(runner, "_train", spy)
+        run_experiment(cfg)
+        assert len(finals) == 2
+        assert finals[0].tobytes() == finals[1].tobytes()
 
 
 class TestMoePreset:

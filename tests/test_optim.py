@@ -1,4 +1,4 @@
-"""Optimizer directions, grouped updates, schedulers, and grid search."""
+"""Optimizer directions, grouped updates, schedulers, and the default rate grid."""
 
 import numpy as np
 import pytest
@@ -6,26 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hidlr.errors import LengthMismatch, UnknownStrategy
-from hidlr.harness.config import ExperimentConfig
-from hidlr.harness.runner import set_up_run
-from hidlr.linalg import make_rng, spawn_rngs
+from hidlr.linalg import make_rng
 from hidlr.optim import (
     OPTIMIZER_KINDS,
     OptimizerState,
     apply_update,
     default_toy_grid,
     direction,
-    grid_search,
     scheduler_lr,
 )
-from hidlr.problems import (
-    GroupLayout,
-    beale_rosenbrock_problem,
-    build_problem,
-    ellipse_problem,
-)
-
-from oracle import quadratic_problem
+from hidlr.problems import GroupLayout
 
 
 class TestDirection:
@@ -204,35 +194,6 @@ class TestSchedulers:
         assert 0.0 <= lr <= 0.7
 
 
-def constant_lr_run(problem, optimizer_kind, lr, iters, seed, opt_hyper=None):
-    """The grid's candidate run as a separate loop: gradient-only steps."""
-    w = problem.init_params(spawn_rngs(seed, 3)[1])
-    state = OptimizerState.create(optimizer_kind, problem.dim, **(opt_hyper or {}))
-    layout = GroupLayout.from_sizes([("all", problem.dim)])
-    lr_vec = np.array([lr])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(iters):
-            g = problem.grad(w)
-            if not np.all(np.isfinite(g)):
-                return np.inf
-            w = apply_update(w, layout, lr_vec, direction(state, g, w))
-            if not np.all(np.isfinite(w)):
-                return np.inf
-        final = problem.loss(w)
-    return final if np.isfinite(final) else np.inf
-
-
-def loop_grid_search(problem, optimizer_kind, grid, iters, seed=0, opt_hyper=None):
-    best_lr, best_loss = None, np.inf
-    for lr in sorted(float(x) for x in grid):
-        loss = constant_lr_run(problem, optimizer_kind, lr, iters, seed, opt_hyper)
-        if loss < best_loss:
-            best_lr, best_loss = lr, loss
-    if best_lr is None:
-        best_lr = min(float(x) for x in grid)
-    return best_lr, best_loss
-
-
 class TestGridSearch:
     def test_default_grid_values(self):
         grid = default_toy_grid()
@@ -240,63 +201,3 @@ class TestGridSearch:
         assert grid[0] == pytest.approx(1e-5)
         assert grid[2] == pytest.approx(1e-4)
         assert grid[-1] == pytest.approx(1e-5 * 10**5.5)
-
-    def test_single_candidate(self):
-        problem = ellipse_problem()
-        lr, loss = grid_search(problem, "sgd", [1e-3], iters=10)
-        assert lr == 1e-3
-        assert np.isfinite(loss)
-
-    def test_picks_stable_middle_rate(self):
-        # L = x^2 + 100 y^2 under SGD: 0.5 diverges on y, 1e-4 barely moves
-        problem = ellipse_problem()
-        lr, loss = grid_search(problem, "sgd", [1e-4, 9e-3, 0.5], iters=100)
-        assert lr == 9e-3
-        # x contracts by (1 - 2*0.009) per step from x0 = 50
-        assert loss == pytest.approx((50 * 0.982**100) ** 2, rel=1e-6)
-
-    def test_divergent_rates_score_inf(self):
-        problem = ellipse_problem()
-        _, loss = grid_search(problem, "sgd", [50.0], iters=100)
-        assert loss == np.inf
-
-    def test_order_invariant(self):
-        problem = quadratic_problem(
-            np.diag([1.0, 10.0]), np.array([2.0, 2.0])
-        )
-        grid = default_toy_grid()
-        fwd = grid_search(problem, "sgd", grid, iters=50)
-        rev = grid_search(problem, "sgd", list(reversed(grid)), iters=50)
-        assert fwd == rev
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_candidates_start_from_the_runs_init(self, seed):
-        cfg = ExperimentConfig(problem="nam-synthetic", method="grid", seed=seed)
-        problem, _, w0, _, _ = set_up_run(cfg)
-        _, loss = grid_search(problem, "sgd", [1e-3], iters=0, seed=seed)
-        assert loss == problem.loss(w0)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(LengthMismatch):
-            grid_search(ellipse_problem(), "sgd", [], iters=5)
-
-    @pytest.mark.parametrize(
-        "make, kind, grid, iters",
-        [
-            (ellipse_problem, "sgd", default_toy_grid(), 60),
-            (beale_rosenbrock_problem, "sgd", default_toy_grid(), 100),
-            (ellipse_problem, "sgd", [5e-3, 0.02, 0.5, 3.0, 50.0, 1e3], 40),
-            (
-                lambda: build_problem("lora-synthetic", make_rng(0)),
-                "adamw",
-                [1e-4, 1e-3, 1e-2, 1e-1],
-                30,
-            ),
-        ],
-        ids=["ellipse", "beale-rosenbrock", "diverging", "lora-adamw"],
-    )
-    def test_matches_gradient_only_loop(self, make, kind, grid, iters):
-        expected = loop_grid_search(make(), kind, grid, iters, seed=3)
-        got = grid_search(make(), kind, grid, iters, seed=3)
-        assert got[0] == expected[0]
-        assert np.asarray(got[1]).tobytes() == np.asarray(expected[1]).tobytes()

@@ -6,6 +6,9 @@ References that only the tests need live under ``tests/`` (``oracle.py``,
 ``conftest.py``). A use is a loaded name or an attribute name; imports and
 ``__all__`` strings are not uses. String constants in ``perfbench/`` count,
 because its tracer binds package functions by name.
+
+The modules of ``src/hidlr`` also import each other without a cycle, counting
+imports made inside functions.
 """
 
 import ast
@@ -58,3 +61,61 @@ def test_every_package_definition_has_a_use_outside_the_tests():
     assert {"hidlr_step", "run_experiment", "LossProblem"} <= defined
     unused = sorted(defined - _uses())
     assert unused == [], f"defined in src/hidlr, used by no run: {unused}"
+
+
+def _module_name(path):
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _import_graph():
+    """Each package module -> the package modules its import statements name.
+
+    Imports inside functions count. ``from .x import y`` names the submodule
+    ``x.y`` where one exists, else the module ``x``.
+    """
+    paths = {_module_name(path): path for path in PACKAGE.rglob("*.py")}
+    graph = {}
+    for name, path in paths.items():
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+        targets = set()
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                targets.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = package.split(".")
+                base = base[: len(base) - node.level + 1] if node.level else []
+                source = ".".join(base + ([node.module] if node.module else []))
+                for alias in node.names:
+                    sub = f"{source}.{alias.name}"
+                    targets.add(sub if sub in paths else source)
+        graph[name] = sorted(targets & paths.keys())
+    return graph
+
+
+def _cycles(graph):
+    """Each cycle a depth-first walk closes, as ``a → b → a``."""
+    cycles, done, stack = [], set(), []
+
+    def visit(node):
+        stack.append(node)
+        for nxt in graph[node]:
+            if nxt in stack:
+                cycles.append(" → ".join(stack[stack.index(nxt):] + [nxt]))
+            elif nxt not in done:
+                visit(nxt)
+        stack.pop()
+        done.add(node)
+
+    for node in sorted(graph):
+        if node not in done:
+            visit(node)
+    return cycles
+
+
+def test_package_has_no_import_cycle():
+    graph = _import_graph()
+    assert "hidlr.controller" in graph["hidlr.harness.runner"]
+    assert "hidlr.controller" in graph["hidlr.harness.cli"]  # from .. import controller
+    cycles = _cycles(graph)
+    assert cycles == [], f"import cycles in src/hidlr: {cycles}"
