@@ -585,9 +585,9 @@ class TestGridMethod:
     @pytest.mark.parametrize("problem", ["ellipse", "beale-rosenbrock"])
     def test_order_invariant(self, problem):
         grid = default_toy_grid()
-        fwd = run_experiment(ellipse_cfg(problem=problem, method="grid", grid=grid, iterations=50))
-        rev = run_experiment(
-            ellipse_cfg(problem=problem, method="grid", grid=grid[::-1], iterations=50)
+        fwd, rev = (
+            run_experiment(ellipse_cfg(problem=problem, method="grid", grid=g, iterations=50))
+            for g in (grid, grid[::-1])
         )
         assert fwd.summary == rev.summary
 
