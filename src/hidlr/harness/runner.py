@@ -70,6 +70,13 @@ class CountingProblem:
         return metrics
 
 
+class _Candidate(CountingProblem):
+    """A grid candidate's counter: it trains like a run but evaluates nothing."""
+
+    def test_metrics(self, w):
+        return None
+
+
 @dataclass
 class RunRecord:
     """Everything a run emits: metric rows, the refresh log and a summary.
@@ -245,13 +252,14 @@ def _search_grid(inner, w0, layout, cfg: ExperimentConfig) -> dict:
     """``summary["grid"]``: the constant rate whose run ends at the least full-train loss.
 
     Each candidate is a ``_train`` run from a copy of ``w0`` on the run's own
-    batches, audited on its own counter. A diverged one scores +inf; ties go
-    to the smaller rate, so if all diverge the smallest rate wins.
+    batches, audited on its own counter, which makes no test evaluations. A
+    diverged one scores +inf; ties go to the smaller rate, so if all diverge
+    the smallest rate wins.
     """
     grid = sorted(float(x) for x in cfg.grid or default_toy_grid())
     best_lr, best_loss, loss_calls, grad_calls = grid[0], np.inf, 0, 0
     for lr in grid:
-        counter = CountingProblem(inner)
+        counter = _Candidate(inner)
         schedule = _Schedule(counter, cfg, spawn_rngs(cfg.seed, 3)[2])
         with np.errstate(over="ignore", invalid="ignore"):
             try:

@@ -9,6 +9,8 @@ intrinsically harder to learn. Each head column is its own parameter
 group, named ``task0`` .. ``task{K-1}``. The map is frozen, so splits hold
 feature rows, not raw inputs. No call holds a gathered batch: every training
 logit comes from 64-row blocks, and a batch's gradient from 64-column blocks.
+The probe set reads its rows and targets one 64-row block at a time and holds
+no (B, K) array, except the base BCE of a fresh probe batch's anchor.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ NOISE_MIN = 0.1
 NOISE_MAX = 2.0
 PROBE_ROWS = 64  # feature rows multiplied (and, from a batch, gathered) at a time
 GRAD_COLUMNS = 64  # feature columns of a batch gathered per gradient block
+
+
+def _blocks(n: int, batch):
+    """``(lo, hi, index)`` per ``PROBE_ROWS``-row block of ``n`` rows; ``index`` reads a split."""
+    for lo, hi in row_chunks(n, PROBE_ROWS, least=PROBE_ROWS):
+        yield lo, hi, slice(lo, hi) if batch is None else batch[lo:hi]
 
 
 class MultitaskHeadProblem(LossProblem):
@@ -75,8 +83,8 @@ class MultitaskHeadProblem(LossProblem):
         """``z[batch] @ head.T`` per head, in ``PROBE_ROWS``-row blocks: every training logit."""
         n = len(z) if batch is None else len(batch)
         out = [np.empty((n, self.n_tasks)) for _ in heads]
-        for lo, hi in row_chunks(n, PROBE_ROWS, least=PROBE_ROWS):
-            rows = z[lo:hi] if batch is None else z[batch[lo:hi]]
+        for lo, hi, index in _blocks(n, batch):
+            rows = z[index]
             for head, logits in zip(heads, out):
                 np.matmul(rows, self._head(head).T, out=logits[lo:hi])
             del rows  # the next block's rows replace these, never join them
@@ -103,35 +111,51 @@ class MultitaskHeadProblem(LossProblem):
         return loss, g.ravel()
 
     def probe_losses(self, w, d, layout, xi, batch=None, l0=None):
-        """Probe losses from two head products, using the head's linearity.
+        """Probe losses from two head products per row block, using the head's linearity.
 
         Moving head k by -xi * d_k moves only logit column k, by -xi * z d_k.
         So each probe's loss is the base loss with column k's BCE sum
-        replaced, one (B, K) BCE per multiplier in one reused buffer. The
-        sums run in another order than the default loop, so the table agrees
-        with it to rounding, not bits. The base logits come from ``_logits``
-        as ``loss``'s do, so without ``l0`` the anchor is ``loss(w, batch)``
-        bit for bit.
+        replaced. The batch's rows and targets stream through ``_logits``'s
+        row blocks. A block's base BCE and one moved BCE per multiplier fill
+        one buffer, whose rows join running column sums in the row order of
+        one (B, K) ``sum(axis=0)``: the blocks leave the table's bits as they
+        are. The sums run in another order than the default loop, so the
+        table agrees with it to rounding, not bits. No (B, K) array is held
+        except, without ``l0``, the base BCE, whose mean is then the anchor:
+        ``loss(w, batch)`` bit for bit.
         """
         if layout != self.default_layout:
             return super().probe_losses(w, d, layout, xi, batch, l0)
         batch = self.check_batch(batch)
-        y = take(self.train.targets, batch)
         w, d = self.check_w(w), self.check_w(d)
-        logits, slopes = self._logits(self.train.features, batch, w, d)  # (B, K) each
-        buf = np.empty_like(logits)
-        bce_into(logits, y, out=buf)
+        n = self.train.n if batch is None else len(batch)
+        shifts = xi.T[:, None, :]  # (n_xi, 1, K): one multiplier per slot and column
+        # the BCE is never -0.0, so sums that start at 0.0 keep ``sum(axis=0)``'s bits
+        sums = np.zeros((1 + len(shifts), self.n_tasks))  # base, then one per multiplier
+        base_bce = np.empty((n, self.n_tasks)) if l0 is None else None
+        for lo, hi, index in _blocks(n, batch):
+            rows = self.train.features[index]
+            logits, slopes = rows @ self._head(w).T, rows @ self._head(d).T  # as ``_logits``
+            del rows
+            y = self.train.targets[index]
+            bce = np.empty((len(sums), hi - lo, self.n_tasks))  # base, then one per multiplier
+            np.multiply(shifts, slopes, out=bce[1:])
+            np.subtract(logits, bce[1:], out=bce[1:])  # the moved logits
+            bce[0] = logits
+            del logits, slopes
+            for j in range(len(bce)):  # a slot at a time keeps bce_into's scratch small
+                bce_into(bce[j], y, out=bce[j])
+            if base_bce is not None:
+                base_bce[lo:hi] = bce[0]
+            # the running sums, then this block's rows: ``sum(axis=0)``'s row order
+            np.add.reduce(np.concatenate((sums[:, None], bce), axis=1), axis=1, out=sums)
+            del bce, y  # before the next block's rows are gathered
         if l0 is None:
-            l0 = float(np.mean(buf))  # as ``loss`` computes it
-        base = buf.sum(axis=0)  # (K,)
-        total = base.sum()
-        out = np.empty(xi.shape)
-        for i in range(xi.shape[1]):
-            np.multiply(xi[:, i], slopes, out=buf)
-            np.subtract(logits, buf, out=buf)  # the moved logits
-            bce_into(buf, y, out=buf)
-            out[:, i] = (total - base + buf.sum(axis=0)) / logits.size
-        return l0, out
+            l0 = float(np.mean(base_bce))  # as ``loss`` computes it
+        base = sums[0]
+        table = base.sum() - base + sums[1:]  # (n_xi, K)
+        table /= n * self.n_tasks
+        return l0, np.ascontiguousarray(table.T)
 
     def test_metrics(self, w) -> dict:
         # one pass over the test rows: nothing compares these bits

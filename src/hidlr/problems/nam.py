@@ -234,10 +234,9 @@ class NamProblem(LossProblem):
             return super().probe_losses(w, d, layout, xi, batch, l0)
         w, d = self.check_w(w), self.check_w(d)
         x, y = self.resolve_batch(batch)
-        inputs = _with_ones(x.T[:, :, None])  # (K, B, 2)
-        del x  # the probes read ``inputs``
+        column = x.T[:, :, None]  # (K, B, 1): each probe builds its own (1, B, 2) input
         beta, layers = self._unpack(w)
-        outs = self._subnets(inputs, layers, self._slots)[-1][:, :, 0]  # (K, B)
+        outs = self._subnets(_with_ones(column), layers, self._slots)[-1][:, :, 0]  # (K, B)
         out = np.empty(xi.shape)
         total = outs.sum(axis=0)
         if l0 is None:
@@ -249,14 +248,20 @@ class NamProblem(LossProblem):
         probe_slots = (*self._slots[:-1], "probe_out")
         prefix = None  # outs[0] + ... + outs[k - 1]
         for k in range(self.n_features):
-            moved = s[k] - xi[k + 1][:, None] * ds[k]  # (n, per_subnet)
-            acc = self._subnets(inputs[k : k + 1], self._carving(moved), probe_slots)[-1][:, :, 0]
+            moved = np.multiply(xi[k + 1][:, None], ds[k])  # (n, per_subnet)
+            np.subtract(s[k], moved, out=moved)
+            inputs = _with_ones(column[k : k + 1])
+            acc = self._subnets(inputs, self._carving(moved), probe_slots)[-1][:, :, 0]
+            del moved, inputs  # the next sub-network's are made without them
             # the sum in ``loss``'s order: outputs before k, probed k, outputs after k
             if prefix is not None:
                 acc += prefix
             for j in range(k + 1, self.n_features):
                 acc += outs[j]
-            out[k + 1] = np.mean((beta + acc - y) ** 2, axis=1)
+            acc += beta  # the squared residual, in the probe outputs' slot
+            acc -= y
+            acc *= acc
+            out[k + 1] = np.mean(acc, axis=1)
             prefix = outs[k] if prefix is None else prefix + outs[k]
         return l0, out
 

@@ -32,6 +32,7 @@ from hidlr.optim import OptimizerState, apply_update, default_toy_grid, directio
 from hidlr.problems import (
     FunctionProblem,
     GroupLayout,
+    MultitaskHeadProblem,
     beale_rosenbrock_problem,
     build_problem,
     ellipse_problem,
@@ -637,6 +638,24 @@ class TestGridMethod:
         run_experiment(cfg)
         assert len(finals) == 2
         assert finals[0].tobytes() == finals[1].tobytes()
+
+    def test_candidates_evaluate_nothing(self, monkeypatch):
+        # three candidates and the training run, 3 epochs of 4 steps each
+        cfg = ExperimentConfig(
+            problem="multitask", method="grid", grid=[1e-2, 1e-1, 1.0], seed=0, epochs=3,
+            batch_size=32, problem_params={"n_tasks": 2, "n_train": 128, "n_test": 32},
+        )
+        evaluated, test_metrics = [], MultitaskHeadProblem.test_metrics
+
+        def spy(self, w):
+            evaluated.append(w)
+            return test_metrics(self, w)
+
+        monkeypatch.setattr(MultitaskHeadProblem, "test_metrics", spy)
+        record = run_experiment(cfg)
+        assert len(record.metric_lines) == 3
+        assert len(evaluated) == 3
+        assert record.summary["loss_calls"]["eval"] == 3
 
 
 class TestMoePreset:

@@ -11,8 +11,8 @@ from hidlr.errors import ValidationError
 from hidlr.linalg import make_rng
 from hidlr.optim import OptimizerState
 from hidlr.problems import MultitaskHeadProblem, bce_with_logits, multitask
-from hidlr.problems.base import bce_into, bce_loss_and_grad
-from hidlr.problems.multitask import FEATURE_DIM, INPUT_DIM, NOISE_MAX, NOISE_MIN, PROBE_ROWS
+from hidlr.problems.base import bce_into, bce_loss_and_grad, take
+from hidlr.problems.multitask import FEATURE_DIM, INPUT_DIM, NOISE_MAX, NOISE_MIN
 
 from oracle import sigmoid
 
@@ -68,24 +68,62 @@ def test_bce_kernel_nan_gives_nan():
     assert np.isnan(dz[:2]).all() and np.isfinite(dz[2])
 
 
-def test_warm_refresh_step_peak_is_one_block_of_rows_and_six_logit_arrays():
+def test_warm_refresh_step_peaks_no_higher_than_a_plain_step():
     problem = MultitaskHeadProblem(make_rng(0), n_tasks=40, n_train=512, n_test=32)
     layout = problem.default_layout
     batch = make_rng(5).choice(problem.train.n, size=256, replace=False)
     cfg = HiDlrConfig(phi=1, eta0=1e-3)
-    lr_state = initial_lr_state(cfg, layout.k)
     state = OptimizerState.create("adamw", problem.dim)
-    step = hidlr_step(problem, problem.init_params(make_rng(1)), lr_state, state, cfg, layout,
-                      batch, 0)  # warm: the optimizer state and the rates exist
-    tracemalloc.start()
-    try:
-        res = hidlr_step(problem, step.w, step.lr_state, state, cfg, layout, batch, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.refresh is not None
-    # one 64-row block of gathered feature rows, plus six (B, K) float arrays
-    assert peak < PROBE_ROWS * FEATURE_DIM * 8 + 6 * batch.size * layout.k * 8
+    step = hidlr_step(problem, problem.init_params(make_rng(1)), initial_lr_state(cfg, layout.k),
+                      state, cfg, layout, batch, 0)  # warm: the optimizer state and the rates exist
+    peaks = []
+    for t, step_cfg in enumerate([cfg, None], start=1):  # a refresh step, then a plain one
+        tracemalloc.start()
+        try:
+            res = hidlr_step(problem, step.w, step.lr_state, state, step_cfg, layout, batch, t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (res.refresh is not None) == (step_cfg is not None)
+    # the probe set streams 64-row blocks: its peak sits under the direction's
+    assert peaks[0] <= peaks[1]
+
+
+def whole_batch_probe_losses(problem, w, d, xi, batch=None, l0=None):
+    """The probe set over the whole (B, K) batch at once, the form the row blocks replace."""
+    y = take(problem.train.targets, batch)
+    logits, slopes = problem._logits(problem.train.features, batch, w, d)  # (B, K) each
+    buf = np.empty_like(logits)
+    bce_into(logits, y, out=buf)
+    if l0 is None:
+        l0 = float(np.mean(buf))
+    base = buf.sum(axis=0)
+    total = base.sum()
+    out = np.empty(xi.shape)
+    for i in range(xi.shape[1]):
+        np.multiply(xi[:, i], slopes, out=buf)
+        np.subtract(logits, buf, out=buf)
+        bce_into(buf, y, out=buf)
+        out[:, i] = (total - base + buf.sum(axis=0)) / logits.size
+    return l0, out
+
+
+@pytest.mark.parametrize("n_tasks", [2, 3, 8, 40])
+@pytest.mark.parametrize("batch_size", [1, 2, 63, 64, 65, 66, 129, 130, 255, 256, None])
+def test_streamed_probe_set_bit_equal_to_whole_batch(n_tasks, batch_size):
+    problem = MultitaskHeadProblem(make_rng(n_tasks), n_tasks=n_tasks, n_train=512, n_test=32)
+    layout = problem.default_layout
+    for seed in range(4):
+        rng = make_rng(seed)
+        w, d = 0.1 * rng.standard_normal((2, problem.dim))
+        xi = build_probe_matrix(10.0 ** rng.uniform(-4, -1, layout.k)).xi_table()
+        batch = None if batch_size is None else rng.choice(problem.train.n, batch_size, False)
+        for l0 in (None, 0.5):
+            anchor, table = problem.probe_losses(w, d, layout, xi, batch, l0)
+            ref_anchor, ref_table = whole_batch_probe_losses(problem, w, d, xi, batch, l0)
+            assert anchor == ref_anchor
+            assert table.tobytes() == ref_table.tobytes()
+            assert table.flags.c_contiguous
 
 
 @functools.lru_cache(maxsize=None)

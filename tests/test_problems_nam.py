@@ -363,3 +363,25 @@ class TestWorkspace:
         assert res.refresh is None
         # the gradient is freed once the direction exists and the update is one array
         assert peak < 3 * problem.dim * 8
+
+    def test_warm_fresh_batch_refresh_step_holds_under_two_and_three_quarter_vectors(self):
+        import tracemalloc
+
+        problem = build_problem("nam-synthetic", make_rng(0), {})
+        layout = problem.default_layout
+        w, _, batch = ws_point(problem, 12)
+        rng = make_rng(13)
+        cfg = HiDlrConfig(phi=1, eta0=1e-3)
+        lr_state = initial_lr_state(cfg, layout.k)
+        state = OptimizerState.create("sgd", problem.dim)
+        fresh = [rng.choice(problem.train.n, batch.size, replace=False) for _ in range(2)]
+        step = hidlr_step(problem, w, lr_state, state, cfg, layout, batch, 0, fresh[0])  # warm
+        tracemalloc.start()
+        try:
+            res = hidlr_step(problem, step.w, step.lr_state, state, cfg, layout, batch, 1, fresh[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.refresh is not None
+        # the probe set holds one sub-network's moved weights and (1, B, 2) input at a time
+        assert peak < 2.75 * problem.dim * 8
